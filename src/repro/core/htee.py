@@ -135,8 +135,10 @@ class HTEEAlgorithm:
             score = mbps * mbps / joules if joules > 0 else 0.0
             probes.append((level, throughput, joules, score))
             if observer is not None:
-                observer.probe_window(
-                    engine.time, self.name, level, throughput, joules, score
+                observer.emit(
+                    engine.time, "probe_window", algorithm=self.name,
+                    cc=level, throughput_bps=throughput, joules=joules,
+                    score=score,
                 )
 
         # --- line 23-24: run the rest at the most efficient level.

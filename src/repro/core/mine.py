@@ -58,8 +58,9 @@ class MinEAlgorithm:
             # MinE tunes once up front: record its planned allocation so
             # the event stream shows the starting point work stealing
             # later reshuffles.
-            observer.allocation_change(
-                engine.time, {p.name: p.params.concurrency for p in plans}
+            observer.emit(
+                engine.time, "allocation_change",
+                allocation={p.name: p.params.concurrency for p in plans},
             )
         outcome = run_to_completion(
             engine,

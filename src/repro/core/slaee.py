@@ -171,8 +171,10 @@ class SLAEEAlgorithm:
                 joules = after.energy_since(before)
                 mbps = units.to_mbps(throughput)
                 score = mbps * mbps / joules if joules > 0 else 0.0
-                observer.probe_window(
-                    engine.time, self.name, concurrency, throughput, joules, score
+                observer.emit(
+                    engine.time, "probe_window", algorithm=self.name,
+                    cc=concurrency, throughput_bps=throughput, joules=joules,
+                    score=score,
                 )
             return throughput
 
@@ -200,7 +202,10 @@ class SLAEEAlgorithm:
             elif extra_large < max_extra:
                 extra_large += 1  # reArrangeChannels()
                 if observer is not None:
-                    observer.rearrange_channels(engine.time, self.name, extra_large)
+                    observer.emit(
+                        engine.time, "rearrange_channels",
+                        algorithm=self.name, extra_large=extra_large,
+                    )
             else:
                 break  # SLA unreachable on this path; do our best
             apply(concurrency, extra_large)

@@ -531,7 +531,9 @@ class TransferEngine:
         for chunk_name, count in allocation.items():
             self.set_chunk_channels(chunk_name, count)
         if self.observer is not None:
-            self.observer.allocation_change(self.time, dict(allocation))
+            self.observer.emit(
+                self.time, "allocation_change", allocation=dict(allocation)
+            )
 
     # ------------------------------------------------------------------
     # failure injection
@@ -720,7 +722,7 @@ class TransferEngine:
         if self.record_events:
             self.events.append(EngineEvent(time=self.time, kind=kind, detail=detail))
         if self.observer is not None:
-            self.observer.engine_event(self.time, kind, detail)
+            self.observer.emit(self.time, kind, **detail)
 
     @property
     def active_channel_count(self) -> int:
@@ -802,11 +804,9 @@ class TransferEngine:
             ):
                 self.step()
         if observer is not None:
-            observer.note_steps(self.fixed_steps - fixed_before)
-            if self._fallback_steps:
-                # close the trailing fallback stretch at the run boundary
-                observer.fixed_fallback(self.time, self._fallback_steps)
-                self._fallback_steps = 0
+            observer.count("engine.fixed_steps", self.fixed_steps - fixed_before)
+            # close the trailing fallback stretch at the run boundary
+            self.flush_fallback_events()
         return self.time - start
 
     def step(self) -> None:
@@ -892,10 +892,10 @@ class TransferEngine:
             self._advance_fixed(busy, rates)
         else:
             if observer is not None:
-                if self._fallback_steps:
-                    observer.fixed_fallback(self.time, self._fallback_steps)
-                    self._fallback_steps = 0
-                observer.macro_step(self.time, k, k * self.dt)
+                self.flush_fallback_events()
+                observer.emit(
+                    self.time, "macro_step", steps=k, span_s=k * self.dt
+                )
             self._advance_macro(busy, rates, k)
 
     def _stable_steps(
@@ -1318,21 +1318,24 @@ class TransferEngine:
             self._advance_fixed(busy, rates)
             return
         if observer is not None:
-            if self._fallback_steps:
-                observer.fixed_fallback(self.time, self._fallback_steps)
-                self._fallback_steps = 0
-            observer.macro_step(self.time, steps, steps * self.dt)
+            self.flush_fallback_events()
+            observer.emit(
+                self.time, "macro_step", steps=steps, span_s=steps * self.dt
+            )
         self._advance_macro(busy, rates, steps)
 
     def flush_fallback_events(self) -> None:
-        """Close the trailing coalesced fixed-``dt`` fallback stretch.
+        """Close the open coalesced fixed-``dt`` fallback stretch.
 
-        Mirrors what :meth:`run` does at its boundary; coordinators
-        driving the engine through :meth:`advance_prepared` call this
-        when the transfer finishes so the last stretch is not lost.
+        Called before each macro-step and at a :meth:`run` boundary;
+        coordinators driving the engine through :meth:`advance_prepared`
+        call this when the transfer finishes so the last stretch is not
+        lost.
         """
         if self.observer is not None and self._fallback_steps:
-            self.observer.fixed_fallback(self.time, self._fallback_steps)
+            self.observer.emit(
+                self.time, "fixed_dt_fallback", steps=self._fallback_steps
+            )
             self._fallback_steps = 0
 
     # ------------------------------------------------------------------

@@ -288,9 +288,9 @@ class MultiTransferSimulator:
                 path = self._placer.place(record.name)
                 self._flow_paths[record.name] = path
                 if self.observer is not None:
-                    self.observer.job_placed(
-                        self.time, record.name, path.name,
-                        self._placer.policy,
+                    self.observer.emit(
+                        self.time, "job_placed", job=record.name,
+                        path=path.name, policy=self._placer.policy,
                     )
             self._inherit_outages(engine)
             engine.admit_pending()
@@ -375,7 +375,9 @@ class MultiTransferSimulator:
         """Account one allocation round's cache traffic and extend (or
         flush) the coalesced ``allocation_cached`` stretch."""
         if self.observer is not None:
-            self.observer.alloc_cache(hits, misses, incremental)
+            self.observer.count("topo.alloc_cache_hits", hits)
+            self.observer.count("topo.alloc_cache_misses", misses)
+            self.observer.count("topo.alloc_incremental_rounds", incremental)
         if hits and not misses:
             if self._cached_span_start is None:
                 self._cached_span_start = self.time
@@ -394,10 +396,10 @@ class MultiTransferSimulator:
         if self._cached_span_start is None:
             return
         if self.observer is not None:
-            self.observer.allocation_cached(
-                self._cached_span_start,
-                self._cached_span_rounds,
-                self.time - self._cached_span_start,
+            self.observer.emit(
+                self._cached_span_start, "allocation_cached",
+                rounds=self._cached_span_rounds,
+                span_s=self.time - self._cached_span_start,
             )
         self._cached_span_start = None
         self._cached_span_rounds = 0
@@ -485,18 +487,20 @@ class MultiTransferSimulator:
             if name not in self._congested_flows:
                 self._congested_flows.add(name)
                 if observer is not None:
-                    observer.path_congested(
-                        self.time, name, path.name, bound,
-                        result.demands[name], result.rates[name],
+                    observer.emit(
+                        self.time, "path_congested", job=name,
+                        path=path.name, bottleneck=bound,
+                        demand=result.demands[name], rate=result.rates[name],
                     )
         if observer is not None:
             for hop, load in result.bottleneck_load.items():
                 last = self._last_loads.get(hop)
                 if last is None or abs(load - last) > 1e-6 * max(load, 1.0):
                     self._last_loads[hop] = load
-                    observer.bottleneck_allocated(
-                        self.time, hop, self.topology.capacity(hop),
-                        result.bottleneck_flows[hop], load,
+                    observer.emit(
+                        self.time, "bottleneck_allocated", bottleneck=hop,
+                        capacity=self.topology.capacity(hop),
+                        flows=result.bottleneck_flows[hop], rate=load,
                     )
 
     def _would_bind(

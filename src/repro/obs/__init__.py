@@ -10,7 +10,7 @@ See DESIGN.md, "Observability", for the event taxonomy and the
 overhead guarantees.
 """
 
-from repro.obs.events import EVENT_SCHEMA, EventStream, TransferEvent
+from repro.obs.events import EVENT_SCHEMA, EventKind, EventStream, TransferEvent
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -22,6 +22,7 @@ from repro.obs.observer import Observer, render_events, render_metrics
 
 __all__ = [
     "EVENT_SCHEMA",
+    "EventKind",
     "EventStream",
     "TransferEvent",
     "Counter",

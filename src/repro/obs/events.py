@@ -1,4 +1,4 @@
-"""Structured transfer-event stream.
+"""Structured transfer-event stream and the event-kind schema.
 
 Every *decision-relevant* moment of a transfer — a probe window with
 its measured throughput/energy/score, an allocation change, a
@@ -7,7 +7,9 @@ fallback stretch, a work-stealing adoption, a server failure or
 recovery — is appended to an :class:`EventStream` as a schema-checked
 :class:`TransferEvent`.
 
-The schema (:data:`EVENT_SCHEMA`) is enforced at emit time: unknown
+:data:`EVENT_SCHEMA` is the one declaration of each event kind: its
+required detail keys, the metrics an observed event bumps, and its
+one-line text render. The schema is enforced at emit time: unknown
 kinds and missing detail keys raise immediately, so a malformed
 instrumentation call site fails in tests rather than producing an
 unparseable archive. Events carry a monotone sequence number in
@@ -19,59 +21,261 @@ it causes) while their causal order still matters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Set
+from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Iterable, Iterator
-from typing import Optional
+from typing import Optional, Union
 
-__all__ = ["EVENT_SCHEMA", "TransferEvent", "EventStream"]
+from repro.units import to_mbps
 
-#: kind -> required detail keys. Extra keys are allowed (forward
-#: compatibility); missing required keys are an error.
-EVENT_SCHEMA: dict[str, frozenset[str]] = {
-    # algorithm-level decisions
-    "probe_window": frozenset({"algorithm", "cc", "throughput_bps", "joules", "score"}),
-    "allocation_change": frozenset({"allocation"}),
-    "rearrange_channels": frozenset({"algorithm", "extra_large"}),
-    # engine stepping-mode telemetry
-    "macro_step": frozenset({"steps", "span_s"}),
-    "fixed_dt_fallback": frozenset({"steps"}),
-    # engine structural events (forwarded from the engine event log)
-    "channel_reassigned": frozenset({"from_chunk", "to_chunk"}),
-    "channel_failed": frozenset({"chunk"}),
-    "server_failed": frozenset({"side", "index"}),
-    "server_recovered": frozenset({"side", "index"}),
-    # service-layer stepping-mode telemetry (repro.service.simulate):
-    # one coalesced event per event-driven jump that macro-stepped,
-    # mirroring the engine's ``macro_step``.
-    "service_macro_step": frozenset({"steps", "span_s", "rounds"}),
-    # service-layer job lifecycle (repro.service.simulate)
-    "job_submitted": frozenset({"job", "tenant", "sla"}),
-    "job_deferred": frozenset({"job", "until", "reason"}),
-    "job_admitted": frozenset({"job", "queue_wait_s"}),
-    "job_completed": frozenset({"job", "duration_s", "energy_j", "cost_usd"}),
-    "deadline_missed": frozenset({"job", "deadline", "completion"}),
-    # fleet-layer sharded dispatch (repro.service.fleet)
-    "shard_started": frozenset({"shard", "jobs"}),
-    "shard_completed": frozenset({"shard", "jobs", "wall_s"}),
-    "job_routed": frozenset({"job", "shard"}),
-    "work_stolen": frozenset({"job", "from_shard", "to_shard"}),
-    # chaos harness (repro.chaos): scenario interventions and SLO
-    # verdicts. ``fault`` is the action kind (link_brownout,
-    # server_outage, ...); ``detail`` carries its action-specific facts.
-    "fault_injected": frozenset({"fault", "detail"}),
-    "slo_breach": frozenset({"metric", "value", "budget", "burn"}),
-    # topology layer (repro.topo via repro.netsim.multi): placement
-    # decisions, change-detected per-bottleneck water-fill results and
-    # flows newly throttled below their demand.
-    "job_placed": frozenset({"job", "path", "policy"}),
-    "bottleneck_allocated": frozenset({"bottleneck", "capacity", "flows", "rate"}),
-    "path_congested": frozenset({"job", "path", "bottleneck", "demand", "rate"}),
-    # One coalesced event per stretch of consecutive allocation rounds
-    # served entirely from cache (frozen busy signature or memo hit) —
-    # the topology sibling of ``fixed_dt_fallback`` coalescing.
-    "allocation_cached": frozenset({"rounds", "span_s"}),
+__all__ = ["EVENT_SCHEMA", "EventKind", "TransferEvent", "EventStream",
+           "check_event"]
+
+#: Where a metric value comes from: a constant, the name of a detail
+#: field, or a function of the whole detail dict.
+Source = Union[int, str, Callable[[dict], float]]
+
+#: Probe scores are Mbps^2/J; macro-step spans are seconds.
+_SCORE_BUCKETS = (0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+_SPAN_BUCKETS = (0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0)
+#: Queue waits span seconds (compressed test days) to many hours.
+_QUEUE_WAIT_BUCKETS = (1.0, 10.0, 60.0, 300.0, 1800.0, 3600.0, 4 * 3600.0,
+                       12 * 3600.0, 86400.0)
+
+
+def _plain(detail: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in detail.items())
+
+
+@dataclass(frozen=True)
+class EventKind:
+    """The one declaration of an event kind.
+
+    ``keys`` are the detail keys every event must carry; extra keys are
+    allowed (forward compatibility). An observed event bumps the
+    metrics below. Their names may hold ``{field}`` placeholders filled
+    from the detail (``service.deferrals.{reason}``), and a
+    :data:`Source` picks each value: ``counters`` add it, ``gauges``
+    set it, ``histograms`` map a name to ``(source, bucket bounds)``.
+    ``render`` is the kind's line in :func:`repro.obs.render_events`:
+    a format string over the detail, or a function of it.
+    ``stream=False`` kinds (high-volume engine-log entries) are counted
+    but never appended to the stream.
+    """
+
+    keys: Set[str]
+    counters: Mapping[str, Source] = field(default_factory=dict)
+    gauges: Mapping[str, Source] = field(default_factory=dict)
+    histograms: Mapping[str, tuple[Source, tuple[float, ...]]] = field(
+        default_factory=dict
+    )
+    render: Union[str, Callable[[dict], str]] = _plain
+    stream: bool = True
+
+    def line(self, detail: dict) -> str:
+        """The one-line text of an event with this ``detail``."""
+        if isinstance(self.render, str):
+            return self.render.format_map(detail)
+        return self.render(detail)
+
+
+def _fault_line(d: dict) -> str:
+    facts = _plain(d["detail"])
+    return f"{d['fault']}" + (f" ({facts})" if facts else "")
+
+
+def _breach_line(d: dict) -> str:
+    shown = "n/a" if d["value"] is None else f"{d['value']:.4g}"
+    return (f"{d['metric']} {shown} > budget {d['budget']:.4g} "
+            f"(burn {d['burn']:.2f}x)")
+
+
+EVENT_SCHEMA: dict[str, EventKind] = {
+    # algorithm-level decisions: an HTEE/SLAEE measurement window at
+    # concurrency ``cc`` (bytes/s, joules, ranking score), a full
+    # chunk -> channel-count allocation, SLAEE's reArrangeChannels.
+    "probe_window": EventKind(
+        {"algorithm", "cc", "throughput_bps", "joules", "score"},
+        counters={"algo.probe_windows": 1},
+        gauges={"algo.last_probe_cc": "cc"},
+        histograms={"algo.probe_score": ("score", _SCORE_BUCKETS)},
+        render=lambda d: (f"{d['algorithm']} cc={d['cc']} "
+                          f"{to_mbps(d['throughput_bps']):8.1f} Mbps "
+                          f"{d['joules']:9.1f} J  score={d['score']:.3f}"),
+    ),
+    "allocation_change": EventKind(
+        {"allocation"},
+        counters={"engine.allocation_changes": 1},
+        gauges={"engine.last_allocation_total":
+                lambda d: sum(d["allocation"].values())},
+        render=lambda d: (f"total={sum(d['allocation'].values())} "
+                          f"({_plain(d['allocation'])})"),
+    ),
+    "rearrange_channels": EventKind(
+        {"algorithm", "extra_large"}, counters={"algo.rearrange_firings": 1}
+    ),
+    # engine stepping: ``steps`` whole dt-steps advanced analytically
+    # over ``span_s`` seconds; a stretch of fixed-dt fallback steps
+    # ended (one event per stretch; step totals are a counter).
+    "macro_step": EventKind(
+        {"steps", "span_s"},
+        counters={"engine.macro_steps": 1, "engine.macro_stepped_dts": "steps"},
+        histograms={"engine.macro_span_s": ("span_s", _SPAN_BUCKETS)},
+        render="{steps} steps ({span_s:.2f} s)",
+    ),
+    "fixed_dt_fallback": EventKind(
+        {"steps"}, counters={"engine.fallback_stretches": 1},
+        render="{steps} fixed steps",
+    ),
+    # engine event log (repro.netsim.engine), each entry counted as
+    # ``engine.events.<kind>``. channel_reassigned is a work-stealing
+    # adoption; channel, chunk and link churn is counted only.
+    "channel_reassigned": EventKind(
+        {"from_chunk", "to_chunk"},
+        counters={"engine.events.channel_reassigned": 1,
+                  "engine.work_steals": 1},
+    ),
+    "channel_failed": EventKind(
+        {"chunk"}, counters={"engine.events.channel_failed": 1}
+    ),
+    "server_failed": EventKind(
+        {"side", "index"}, counters={"engine.events.server_failed": 1}
+    ),
+    "server_recovered": EventKind(
+        {"side", "index"}, counters={"engine.events.server_recovered": 1}
+    ),
+    "channel_opened": EventKind(
+        {"chunk"}, counters={"engine.events.channel_opened": 1}, stream=False
+    ),
+    "channel_closed": EventKind(
+        {"chunk"}, counters={"engine.events.channel_closed": 1}, stream=False
+    ),
+    "chunk_drained": EventKind(
+        {"chunk"}, counters={"engine.events.chunk_drained": 1}, stream=False
+    ),
+    "link_scaled": EventKind(
+        {"scale"}, counters={"engine.events.link_scaled": 1}, stream=False
+    ),
+    "file_completed": EventKind(
+        {"chunk", "count"}, counters={"engine.files_completed": "count"},
+        stream=False,
+    ),
+    # service layer (repro.service.simulate): one event per
+    # event-driven jump that macro-stepped, then the job lifecycle.
+    "service_macro_step": EventKind(
+        {"steps", "span_s", "rounds"},
+        counters={"service.macro_steps": "rounds",
+                  "service.macro_stepped_dts": "steps"},
+        histograms={"service.macro_span_s": ("span_s", _SPAN_BUCKETS)},
+        render="{steps} steps in {rounds} rounds ({span_s:.2f} s)",
+    ),
+    "job_submitted": EventKind(
+        {"job", "tenant", "sla"}, counters={"service.jobs_submitted": 1},
+        render="{job} tenant={tenant} sla={sla}",
+    ),
+    "job_deferred": EventKind(
+        {"job", "until", "reason"},
+        counters={"service.jobs_deferred": 1,
+                  "service.deferrals.{reason}": 1},
+        render="{job} until={until:.0f}s ({reason})",
+    ),
+    "job_admitted": EventKind(
+        {"job", "queue_wait_s"},
+        counters={"service.jobs_admitted": 1},
+        histograms={"service.queue_wait_s":
+                    ("queue_wait_s", _QUEUE_WAIT_BUCKETS)},
+        render="{job} waited {queue_wait_s:.1f} s",
+    ),
+    "job_completed": EventKind(
+        {"job", "duration_s", "energy_j", "cost_usd"},
+        counters={"service.jobs_completed": 1},
+        render="{job} in {duration_s:.1f} s, {energy_j:.0f} J, ${cost_usd:.4f}",
+    ),
+    "deadline_missed": EventKind(
+        {"job", "deadline", "completion"},
+        counters={"service.deadline_misses": 1},
+        render="{job} deadline={deadline:.0f}s finished={completion:.0f}s",
+    ),
+    # fleet layer (repro.service.fleet); a shard's ``wall_s`` is real
+    # execution time, not simulated seconds.
+    "shard_started": EventKind(
+        {"shard", "jobs"}, counters={"fleet.shard_starts": 1},
+        render="{shard} with {jobs} jobs",
+    ),
+    "shard_completed": EventKind(
+        {"shard", "jobs", "wall_s"},
+        counters={"fleet.shard_completions": 1},
+        histograms={"fleet.shard_wall_s": ("wall_s", _SPAN_BUCKETS)},
+        render="{shard} {jobs} jobs in {wall_s:.2f} s wall",
+    ),
+    "job_routed": EventKind(
+        {"job", "shard"},
+        counters={"fleet.jobs_routed": 1, "fleet.shard_jobs.{shard}": 1},
+        render="{job} -> {shard}",
+    ),
+    "work_stolen": EventKind(
+        {"job", "from_shard", "to_shard"}, counters={"fleet.work_steals": 1},
+        render="{job} {from_shard} -> {to_shard}",
+    ),
+    # chaos harness (repro.chaos). ``fault`` is the action kind
+    # (link_brownout, ...) and ``detail`` its facts; a breach with
+    # ``value=None`` had an unmeasurable metric (infinite burn).
+    "fault_injected": EventKind(
+        {"fault", "detail"},
+        counters={"chaos.faults_injected": 1, "chaos.faults.{fault}": 1},
+        render=_fault_line,
+    ),
+    "slo_breach": EventKind(
+        {"metric", "value", "budget", "burn"},
+        counters={"chaos.slo_breaches": 1, "chaos.slo_breaches.{metric}": 1},
+        render=_breach_line,
+    ),
+    # topology layer (repro.topo via repro.netsim.multi): placements,
+    # change-detected bottleneck loads (bytes/s), flows newly throttled
+    # below their demand, and one event per stretch of allocation
+    # rounds served entirely from cache.
+    "job_placed": EventKind(
+        {"job", "path", "policy"},
+        counters={"topo.placements": 1, "topo.placements.{policy}": 1},
+        render="{job} -> {path} ({policy})",
+    ),
+    "bottleneck_allocated": EventKind(
+        {"bottleneck", "capacity", "flows", "rate"},
+        counters={"topo.allocations": 1},
+        gauges={"topo.bottleneck_load.{bottleneck}": "rate"},
+        render=lambda d: (f"{d['bottleneck']} {to_mbps(d['rate']):.1f}/"
+                          f"{to_mbps(d['capacity']):.1f} Mbps "
+                          f"across {d['flows']} flow(s)"),
+    ),
+    "path_congested": EventKind(
+        {"job", "path", "bottleneck", "demand", "rate"},
+        counters={"topo.congestion_events": 1},
+        render=lambda d: (f"{d['job']} on {d['path']} capped at "
+                          f"{to_mbps(d['rate']):.1f} Mbps by "
+                          f"{d['bottleneck']} (wanted "
+                          f"{to_mbps(d['demand']):.1f})"),
+    ),
+    "allocation_cached": EventKind(
+        {"rounds", "span_s"}, counters={"topo.alloc_cached_stretches": 1},
+        render="{rounds} cached round(s) ({span_s:.2f} s)",
+    ),
 }
+
+
+def check_event(kind: str, detail: Mapping) -> EventKind:
+    """``kind``'s schema entry, after checking that it exists and that
+    ``detail`` carries its required keys (``ValueError`` otherwise)."""
+    spec = EVENT_SCHEMA.get(kind)
+    if spec is None:
+        raise ValueError(
+            f"unknown event kind {kind!r}; known: {sorted(EVENT_SCHEMA)}"
+        )
+    missing = spec.keys - detail.keys()
+    if missing:
+        raise ValueError(
+            f"event {kind!r} missing required detail keys: {sorted(missing)}"
+        )
+    return spec
 
 
 @dataclass(frozen=True)
@@ -99,16 +303,7 @@ class EventStream:
 
     def emit(self, time: float, kind: str, **detail) -> TransferEvent:
         """Append one event, validating it against :data:`EVENT_SCHEMA`."""
-        required = EVENT_SCHEMA.get(kind)
-        if required is None:
-            raise ValueError(
-                f"unknown event kind {kind!r}; known: {sorted(EVENT_SCHEMA)}"
-            )
-        missing = required - detail.keys()
-        if missing:
-            raise ValueError(
-                f"event {kind!r} missing required detail keys: {sorted(missing)}"
-            )
+        check_event(kind, detail)
         event = TransferEvent(seq=len(self._events), time=time, kind=kind,
                               detail=detail)
         self._events.append(event)
@@ -163,14 +358,7 @@ class EventStream:
         for i, event in enumerate(self._events):
             if event.seq != i:
                 raise ValueError(f"non-monotone event sequence at index {i}")
-            required = EVENT_SCHEMA.get(event.kind)
-            if required is None:
-                raise ValueError(f"unknown event kind {event.kind!r} at seq {i}")
-            missing = required - event.detail.keys()
-            if missing:
-                raise ValueError(
-                    f"event {event.kind!r} at seq {i} missing keys: {sorted(missing)}"
-                )
+            check_event(event.kind, event.detail)
 
     # -- serialization --------------------------------------------------
 

@@ -2,11 +2,13 @@
 talks to.
 
 An observer couples a :class:`~repro.obs.metrics.MetricsRegistry` with
-an :class:`~repro.obs.events.EventStream` and exposes intent-named
-hooks (``probe_window``, ``allocation_change``, ``macro_step``, ...)
-so call sites never build event dicts by hand. Instrumented code holds
-an ``Optional[Observer]`` and guards every call with ``is not None``
-— the *disabled* cost is one attribute check, the *enabled* cost is a
+an :class:`~repro.obs.events.EventStream`. Call sites name an event
+kind and its detail (``observer.emit(t, "probe_window", ...)``); the
+kind's :data:`~repro.obs.events.EVENT_SCHEMA` entry says which metrics
+it bumps and whether it reaches the stream, so call sites never build
+event dicts or metric names by hand. Instrumented code holds an
+``Optional[Observer]`` and guards every call with ``is not None`` —
+the *disabled* cost is one attribute check, the *enabled* cost is a
 couple of dict operations.
 
 Observers are process-local. Parallel campaign workers each create a
@@ -18,28 +20,21 @@ parent — see ``repro.harness.campaign``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-from repro import units
-from repro.obs.events import EventStream
+from repro.obs.events import EVENT_SCHEMA, EventStream, Source, check_event
 from repro.obs.metrics import MetricsRegistry
-from repro.units import BytesPerSecond, Joules, Seconds
+from repro.units import Seconds
 
 __all__ = ["Observer", "render_events", "render_metrics"]
 
-#: Engine event-log kinds mirrored into the observer's event stream
-#: (the rest — channel opens/closes, per-file completions — are
-#: high-volume and tracked as counters only).
-_FORWARDED_ENGINE_KINDS = frozenset(
-    {"channel_reassigned", "channel_failed", "server_failed", "server_recovered"}
-)
 
-#: Probe scores are Mbps^2/J; macro-step spans are seconds.
-_SCORE_BUCKETS = (0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
-_SPAN_BUCKETS = (0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0)
-#: Queue waits span seconds (compressed test days) to many hours.
-_QUEUE_WAIT_BUCKETS = (1.0, 10.0, 60.0, 300.0, 1800.0, 3600.0, 4 * 3600.0,
-                       12 * 3600.0, 86400.0)
+def _value(source: Source, detail: dict) -> Any:
+    if isinstance(source, str):
+        return detail[source]
+    if callable(source):
+        return source(detail)
+    return source
 
 
 class Observer:
@@ -50,295 +45,30 @@ class Observer:
         self.metrics = MetricsRegistry()
         self.events = EventStream()
 
-    # -- algorithm-level hooks -----------------------------------------
-
-    def probe_window(
-        self,
-        time: Seconds,
-        algorithm: str,
-        cc: int,
-        throughput_bps: BytesPerSecond,
-        joules: Joules,
-        score: float,
-    ) -> None:
-        """One HTEE/SLAEE measurement window at concurrency ``cc``:
-        measured rate in bytes/s, window energy in joules, and the
-        algorithm's ranking score."""
-        self.metrics.counter("algo.probe_windows").inc()
-        self.metrics.gauge("algo.last_probe_cc").set(cc)
-        self.metrics.histogram("algo.probe_score", _SCORE_BUCKETS).observe(score)
-        self.events.emit(
-            time,
-            "probe_window",
-            algorithm=algorithm,
-            cc=cc,
-            throughput_bps=throughput_bps,
-            joules=joules,
-            score=score,
-        )
-
-    def allocation_change(self, time: Seconds, allocation: dict[str, int]) -> None:
-        """The engine applied a full chunk -> channel-count allocation."""
-        self.metrics.counter("engine.allocation_changes").inc()
-        self.metrics.gauge("engine.last_allocation_total").set(
-            sum(allocation.values())
-        )
-        self.events.emit(time, "allocation_change", allocation=dict(allocation))
-
-    def rearrange_channels(self, time: Seconds, algorithm: str, extra_large: int) -> None:
-        """SLAEE's ``reArrangeChannels`` fired (large chunks get extras)."""
-        self.metrics.counter("algo.rearrange_firings").inc()
-        self.events.emit(
-            time, "rearrange_channels", algorithm=algorithm, extra_large=extra_large
-        )
-
-    # -- engine stepping hooks -----------------------------------------
-
-    def macro_step(self, time: Seconds, steps: int, span_s: Seconds) -> None:
-        """The fast path advanced ``steps`` whole dt-steps analytically,
-        covering ``span_s`` seconds of simulated time."""
-        self.metrics.counter("engine.macro_steps").inc()
-        self.metrics.counter("engine.macro_stepped_dts").inc(steps)
-        self.metrics.histogram("engine.macro_span_s", _SPAN_BUCKETS).observe(span_s)
-        self.events.emit(time, "macro_step", steps=steps, span_s=span_s)
-
-    def fixed_fallback(self, time: Seconds, steps: int) -> None:
-        """A stretch of ``steps`` fixed-``dt`` fallback steps ended.
-
-        Fallback stretches are coalesced: one event per stretch (not
-        per step), so the stream stays bounded even for dt-dominated
-        configurations. Per-step totals live in the
-        ``engine.fixed_steps`` counter.
-        """
-        self.metrics.counter("engine.fallback_stretches").inc()
-        self.events.emit(time, "fixed_dt_fallback", steps=steps)
-
-    def note_steps(self, fixed_steps: int) -> None:
-        """Accumulate a finished ``run()``'s fixed-``dt`` step total
-        (macro-step totals are counted per :meth:`macro_step` call)."""
-        if fixed_steps:
-            self.metrics.counter("engine.fixed_steps").inc(fixed_steps)
-
-    # -- service stepping hooks ----------------------------------------
-
-    def service_macro_step(
-        self, time: Seconds, steps: int, span_s: Seconds, rounds: int
-    ) -> None:
-        """One event-driven service jump ended: ``rounds`` macro rounds
-        advanced ``steps`` whole shared ``dt`` steps, covering
-        ``span_s`` seconds. Coalesced per jump (one event, like the
-        engine's ``macro_step``), so the stream stays bounded for
-        100k-job days."""
-        self.metrics.counter("service.macro_steps").inc(rounds)
-        self.metrics.counter("service.macro_stepped_dts").inc(steps)
-        self.metrics.histogram("service.macro_span_s", _SPAN_BUCKETS).observe(span_s)
-        self.events.emit(
-            time, "service_macro_step", steps=steps, span_s=span_s, rounds=rounds
-        )
-
-    def plan_cache(self, hits: int, misses: int) -> None:
-        """Account a planning round's :func:`repro.service.policies.plan_for`
-        cache traffic (counters only — no event; cache hits are not
-        decision-relevant moments)."""
-        if hits:
-            self.metrics.counter("service.plan_cache_hits").inc(hits)
-        if misses:
-            self.metrics.counter("service.plan_cache_misses").inc(misses)
-
-    # -- service-layer job lifecycle -----------------------------------
-
-    def job_submitted(self, time: Seconds, job: str, tenant: str, sla: str) -> None:
-        """A tenant request entered the service queue."""
-        self.metrics.counter("service.jobs_submitted").inc()
-        self.events.emit(time, "job_submitted", job=job, tenant=tenant, sla=sla)
-
-    def job_deferred(self, time: Seconds, job: str, until: Seconds, reason: str) -> None:
-        """A deferral policy pushed a job's release time past *now*."""
-        self.metrics.counter("service.jobs_deferred").inc()
-        self.metrics.counter(f"service.deferrals.{reason}").inc()
-        self.events.emit(time, "job_deferred", job=job, until=until, reason=reason)
-
-    def job_admitted(self, time: Seconds, job: str, queue_wait_s: Seconds) -> None:
-        """A job got a slot; ``queue_wait_s`` is the submit -> admit
-        wait in seconds."""
-        self.metrics.counter("service.jobs_admitted").inc()
-        self.metrics.histogram(
-            "service.queue_wait_s", _QUEUE_WAIT_BUCKETS
-        ).observe(queue_wait_s)
-        self.events.emit(time, "job_admitted", job=job, queue_wait_s=queue_wait_s)
-
-    def job_completed(
-        self, time: Seconds, job: str, duration_s: Seconds, energy_j: Joules,
-        cost_usd: float,
-    ) -> None:
-        """A job drained its last byte: admit -> done duration in
-        seconds, transfer energy in joules, and its billed cost."""
-        self.metrics.counter("service.jobs_completed").inc()
-        self.events.emit(
-            time, "job_completed", job=job, duration_s=duration_s,
-            energy_j=energy_j, cost_usd=cost_usd,
-        )
-
-    def deadline_missed(
-        self, time: Seconds, job: str, deadline: Seconds, completion: Seconds
-    ) -> None:
-        """A job finished after its completion deadline."""
-        self.metrics.counter("service.deadline_misses").inc()
-        self.events.emit(
-            time, "deadline_missed", job=job, deadline=deadline,
-            completion=completion,
-        )
-
-    # -- fleet-layer sharded dispatch ----------------------------------
-
-    def job_routed(self, time: Seconds, job: str, shard: str) -> None:
-        """The fleet dispatcher assigned a request to a shard."""
-        self.metrics.counter("fleet.jobs_routed").inc()
-        self.metrics.counter(f"fleet.shard_jobs.{shard}").inc()
-        self.events.emit(time, "job_routed", job=job, shard=shard)
-
-    def work_stolen(
-        self, time: Seconds, job: str, from_shard: str, to_shard: str
-    ) -> None:
-        """A saturated shard's job was rerouted to the least-loaded one."""
-        self.metrics.counter("fleet.work_steals").inc()
-        self.events.emit(
-            time, "work_stolen", job=job, from_shard=from_shard,
-            to_shard=to_shard,
-        )
-
-    def shard_started(self, time: Seconds, shard: str, jobs: int) -> None:
-        """One shard's service day began executing ``jobs`` routed jobs."""
-        self.metrics.counter("fleet.shard_starts").inc()
-        self.events.emit(time, "shard_started", shard=shard, jobs=jobs)
-
-    def shard_completed(
-        self, time: Seconds, shard: str, jobs: int, wall_s: float
-    ) -> None:
-        """One shard's service day finished; ``wall_s`` is real
-        (wall-clock) execution time, not simulated seconds."""
-        self.metrics.counter("fleet.shard_completions").inc()
-        self.metrics.histogram("fleet.shard_wall_s", _SPAN_BUCKETS).observe(wall_s)
-        self.events.emit(
-            time, "shard_completed", shard=shard, jobs=jobs, wall_s=wall_s
-        )
-
-    # -- chaos harness (repro.chaos) -----------------------------------
-
-    def fault_injected(self, time: Seconds, fault: str, detail: dict) -> None:
-        """A chaos intervention fired mid-day. ``fault`` is the action
-        kind (``link_brownout``, ``server_outage``, ``channel_cut``,
-        ``tariff_swap``, ``traffic_surge``); ``detail`` carries its
-        action-specific facts."""
-        self.metrics.counter("chaos.faults_injected").inc()
-        self.metrics.counter(f"chaos.faults.{fault}").inc()
-        self.events.emit(time, "fault_injected", fault=fault, detail=detail)
-
-    def jobs_readmitted(self, time: Seconds, count: int) -> None:
-        """The recovery hook re-opened transport for ``count`` jobs
-        stranded by a fault (counter only — the re-opened channels
-        already log their own engine events)."""
-        self.metrics.counter("chaos.jobs_readmitted").inc(count)
-
-    def slo_breach(
-        self, time: Seconds, metric: str, value: Optional[float],
-        budget: float, burn: float,
-    ) -> None:
-        """An SLO oracle rule failed: ``value`` exceeded ``budget``
-        (``burn`` = value/budget; ``value=None`` means the metric was
-        unmeasurable — e.g. a slowdown percentile with zero finished
-        jobs — which counts as an infinite burn)."""
-        self.metrics.counter("chaos.slo_breaches").inc()
-        self.metrics.counter(f"chaos.slo_breaches.{metric}").inc()
-        self.events.emit(
-            time, "slo_breach", metric=metric, value=value, budget=budget,
-            burn=burn,
-        )
-
-    # -- topology layer (repro.topo via repro.netsim.multi) ------------
-
-    def job_placed(
-        self, time: Seconds, job: str, path: str, policy: str
-    ) -> None:
-        """The placer routed an admitted job onto a topology path."""
-        self.metrics.counter("topo.placements").inc()
-        self.metrics.counter(f"topo.placements.{policy}").inc()
-        self.events.emit(time, "job_placed", job=job, path=path, policy=policy)
-
-    def bottleneck_allocated(
-        self, time: Seconds, bottleneck: str, capacity: float, flows: int,
-        rate: float,
-    ) -> None:
-        """A bottleneck's water-filled load changed: ``rate`` bytes/s
-        now allocated across ``flows`` flows of ``capacity`` bytes/s.
-        Change-detected at the emitting side, so the stream records
-        load transitions rather than one event per round."""
-        self.metrics.counter("topo.allocations").inc()
-        self.metrics.gauge(f"topo.bottleneck_load.{bottleneck}").set(rate)
-        self.events.emit(
-            time, "bottleneck_allocated", bottleneck=bottleneck,
-            capacity=capacity, flows=flows, rate=rate,
-        )
-
-    def path_congested(
-        self, time: Seconds, job: str, path: str, bottleneck: str,
-        demand: float, rate: float,
-    ) -> None:
-        """A flow was throttled below its demand: the water-fill capped
-        ``job`` at ``rate`` bytes/s (wanted ``demand``) at its path's
-        most-utilized hop. Emitted on the uncongested -> congested
-        transition only."""
-        self.metrics.counter("topo.congestion_events").inc()
-        self.events.emit(
-            time, "path_congested", job=job, path=path,
-            bottleneck=bottleneck, demand=demand, rate=rate,
-        )
-
-    def alloc_cache(self, hits: int, misses: int, incremental: int) -> None:
-        """Account one topology allocation round's cache traffic
-        (counters only — the decision-relevant stretches are emitted
-        by :meth:`allocation_cached`). A *hit* round was served without
-        solving (frozen busy signature or allocation-memo hit); a
-        *miss* round ran the water-fill; ``incremental`` flags miss
-        rounds that re-solved through
-        :func:`repro.topo.alloc.refill` with a previous fixed point to
-        splice from."""
-        if hits:
-            self.metrics.counter("topo.alloc_cache_hits").inc(hits)
-        if misses:
-            self.metrics.counter("topo.alloc_cache_misses").inc(misses)
-        if incremental:
-            self.metrics.counter("topo.alloc_incremental_rounds").inc(
-                incremental
+    def emit(self, time: Seconds, kind: str, **detail: Any) -> None:
+        """Record one ``kind`` event at simulated ``time`` (seconds):
+        bump the metrics its schema entry declares and append it to the
+        stream (unless the kind is count-only)."""
+        spec = check_event(kind, detail)
+        metrics = self.metrics
+        for name, source in spec.counters.items():
+            metrics.counter(name.format_map(detail)).inc(_value(source, detail))
+        for name, source in spec.gauges.items():
+            metrics.gauge(name.format_map(detail)).set(_value(source, detail))
+        for name, (source, bounds) in spec.histograms.items():
+            metrics.histogram(name.format_map(detail), bounds).observe(
+                _value(source, detail)
             )
-
-    def allocation_cached(
-        self, time: Seconds, rounds: int, span_s: Seconds
-    ) -> None:
-        """A stretch of ``rounds`` consecutive allocation rounds was
-        served entirely from cache, covering ``span_s`` simulated
-        seconds. Coalesced per stretch (one event, like
-        ``fixed_dt_fallback``), so topology days stay bounded."""
-        self.metrics.counter("topo.alloc_cached_stretches").inc()
-        self.events.emit(
-            time, "allocation_cached", rounds=rounds, span_s=span_s
-        )
-
-    # -- engine event-log forwarding -----------------------------------
-
-    def engine_event(self, time: Seconds, kind: str, detail: dict) -> None:
-        """Receive one engine event-log entry (always counted; the
-        structurally interesting kinds are mirrored into the stream)."""
-        if kind == "file_completed":
-            self.metrics.counter("engine.files_completed").inc(
-                detail.get("count", 1)
-            )
-        else:
-            self.metrics.counter(f"engine.events.{kind}").inc()
-        if kind == "channel_reassigned":
-            self.metrics.counter("engine.work_steals").inc()
-        if kind in _FORWARDED_ENGINE_KINDS:
+        if spec.stream:
             self.events.emit(time, kind, **detail)
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to counter ``name``, for totals that are not
+        decision-relevant moments (cache traffic, step totals). A zero
+        ``n`` creates no counter, so snapshots only list what
+        happened."""
+        if n:
+            self.metrics.counter(name).inc(n)
 
     # -- aggregation ----------------------------------------------------
 
@@ -361,86 +91,6 @@ class Observer:
 # ----------------------------------------------------------------------
 
 
-def _fmt_detail(kind: str, detail: dict) -> str:
-    if kind == "probe_window":
-        return (
-            f"{detail['algorithm']} cc={detail['cc']} "
-            f"{units.to_mbps(detail['throughput_bps']):8.1f} Mbps "
-            f"{detail['joules']:9.1f} J  score={detail['score']:.3f}"
-        )
-    if kind == "allocation_change":
-        alloc = detail["allocation"]
-        body = ", ".join(f"{k}={v}" for k, v in alloc.items())
-        return f"total={sum(alloc.values())} ({body})"
-    if kind == "macro_step":
-        return f"{detail['steps']} steps ({detail['span_s']:.2f} s)"
-    if kind == "fixed_dt_fallback":
-        return f"{detail['steps']} fixed steps"
-    if kind == "service_macro_step":
-        return (
-            f"{detail['steps']} steps in {detail['rounds']} rounds "
-            f"({detail['span_s']:.2f} s)"
-        )
-    if kind == "job_submitted":
-        return f"{detail['job']} tenant={detail['tenant']} sla={detail['sla']}"
-    if kind == "job_deferred":
-        return f"{detail['job']} until={detail['until']:.0f}s ({detail['reason']})"
-    if kind == "job_admitted":
-        return f"{detail['job']} waited {detail['queue_wait_s']:.1f} s"
-    if kind == "job_completed":
-        return (
-            f"{detail['job']} in {detail['duration_s']:.1f} s, "
-            f"{detail['energy_j']:.0f} J, ${detail['cost_usd']:.4f}"
-        )
-    if kind == "deadline_missed":
-        return (
-            f"{detail['job']} deadline={detail['deadline']:.0f}s "
-            f"finished={detail['completion']:.0f}s"
-        )
-    if kind == "job_routed":
-        return f"{detail['job']} -> {detail['shard']}"
-    if kind == "work_stolen":
-        return f"{detail['job']} {detail['from_shard']} -> {detail['to_shard']}"
-    if kind == "shard_started":
-        return f"{detail['shard']} with {detail['jobs']} jobs"
-    if kind == "shard_completed":
-        return (
-            f"{detail['shard']} {detail['jobs']} jobs in "
-            f"{detail['wall_s']:.2f} s wall"
-        )
-    if kind == "fault_injected":
-        facts = ", ".join(f"{k}={v}" for k, v in detail["detail"].items())
-        return f"{detail['fault']}" + (f" ({facts})" if facts else "")
-    if kind == "job_placed":
-        return f"{detail['job']} -> {detail['path']} ({detail['policy']})"
-    if kind == "bottleneck_allocated":
-        return (
-            f"{detail['bottleneck']} {units.to_mbps(detail['rate']):.1f}/"
-            f"{units.to_mbps(detail['capacity']):.1f} Mbps "
-            f"across {detail['flows']} flow(s)"
-        )
-    if kind == "path_congested":
-        return (
-            f"{detail['job']} on {detail['path']} capped at "
-            f"{units.to_mbps(detail['rate']):.1f} Mbps by "
-            f"{detail['bottleneck']} (wanted "
-            f"{units.to_mbps(detail['demand']):.1f})"
-        )
-    if kind == "allocation_cached":
-        return (
-            f"{detail['rounds']} cached round(s) "
-            f"({detail['span_s']:.2f} s)"
-        )
-    if kind == "slo_breach":
-        value = detail["value"]
-        shown = "n/a" if value is None else f"{value:.4g}"
-        return (
-            f"{detail['metric']} {shown} > budget {detail['budget']:.4g} "
-            f"(burn {detail['burn']:.2f}x)"
-        )
-    return ", ".join(f"{k}={v}" for k, v in detail.items())
-
-
 def render_events(stream: EventStream, kind: Optional[str] = None) -> str:
     """The event stream as an aligned text table."""
     events = stream.filter(kind=kind)
@@ -450,7 +100,7 @@ def render_events(stream: EventStream, kind: Optional[str] = None) -> str:
     for event in events:
         lines.append(
             f"{event.seq:5d}  {event.time:10.2f}  {event.kind:<20s}  "
-            f"{_fmt_detail(event.kind, event.detail)}"
+            f"{EVENT_SCHEMA[event.kind].line(event.detail)}"
         )
     counts = stream.kinds() if kind is None else {kind: len(events)}
     tally = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))

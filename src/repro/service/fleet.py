@@ -350,11 +350,11 @@ def route_requests(
                 target = int(np.argmin(relative))
                 if target != chosen:
                     if observer is not None:
-                        observer.work_stolen(
-                            request.submit_time,
-                            request.name,
-                            shards[chosen].name,
-                            shards[target].name,
+                        observer.emit(
+                            request.submit_time, "work_stolen",
+                            job=request.name,
+                            from_shard=shards[chosen].name,
+                            to_shard=shards[target].name,
                         )
                     stolen_out[chosen] += 1
                     stolen_in[target] += 1
@@ -363,8 +363,9 @@ def route_requests(
         buckets[chosen].append(request)
         backlog[chosen] += request.total_bytes
         if observer is not None:
-            observer.job_routed(
-                request.submit_time, request.name, shards[chosen].name
+            observer.emit(
+                request.submit_time, "job_routed", job=request.name,
+                shard=shards[chosen].name,
             )
     return RoutingResult(
         buckets=tuple(tuple(bucket) for bucket in buckets),
@@ -978,7 +979,9 @@ class FleetSimulator:
         payloads = self._payloads(routed, max_time, interventions, on_timeout)
         if self.observer is not None:
             for spec, bucket in zip(self.shards, routed.buckets, strict=True):
-                self.observer.shard_started(0.0, spec.name, len(bucket))
+                self.observer.emit(
+                    0.0, "shard_started", shard=spec.name, jobs=len(bucket)
+                )
         n_workers = (
             self.workers
             if self.workers is not None
@@ -1009,9 +1012,9 @@ class FleetSimulator:
             if out["summary"] is not None:
                 summaries.append(out["summary"])
             if self.observer is not None:
-                self.observer.shard_completed(
-                    report.makespan_s, spec.name, len(report.jobs),
-                    out["wall_s"],
+                self.observer.emit(
+                    report.makespan_s, "shard_completed", shard=spec.name,
+                    jobs=len(report.jobs), wall_s=out["wall_s"],
                 )
                 if out["summary"] is not None:
                     self.observer.merge_summary(out["summary"])

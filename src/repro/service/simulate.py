@@ -515,8 +515,12 @@ class ServiceSimulator:
             states.append(_JobState(request, plan, decision, result, seq))
         if self.observer is not None:
             cache_after = plan_cache_info()
-            self.observer.plan_cache(
+            self.observer.count(
+                "service.plan_cache_hits",
                 cache_after["hits"] - cache_before["hits"],
+            )
+            self.observer.count(
+                "service.plan_cache_misses",
                 cache_after["misses"] - cache_before["misses"],
             )
         return states
@@ -566,27 +570,26 @@ class ServiceSimulator:
             tenant_running[tenant] = tenant_running.get(tenant, 0) + 1
             slots -= 1
             if self.observer is not None:
-                self.observer.job_admitted(
-                    now, state.request.name, state.result.queue_wait_s
+                self.observer.emit(
+                    now, "job_admitted", job=state.request.name,
+                    queue_wait_s=state.result.queue_wait_s,
                 )
 
     def _finalize(self, state: _JobState, now: Seconds) -> None:
         """Close a completed job's books and emit its events."""
         state.result.completed_at = state.record.completion_time
         if self.observer is not None:
-            self.observer.job_completed(
-                now,
-                state.request.name,
-                state.result.duration_s,
-                state.result.energy_j,
-                state.result.cost_usd,
+            self.observer.emit(
+                now, "job_completed", job=state.request.name,
+                duration_s=state.result.duration_s,
+                energy_j=state.result.energy_j,
+                cost_usd=state.result.cost_usd,
             )
             if state.result.deadline_missed:
-                self.observer.deadline_missed(
-                    now,
-                    state.request.name,
-                    state.result.deadline,
-                    state.result.completed_at,
+                self.observer.emit(
+                    now, "deadline_missed", job=state.request.name,
+                    deadline=state.result.deadline,
+                    completion=state.result.completed_at,
                 )
 
     @staticmethod
@@ -684,14 +687,16 @@ class ServiceSimulator:
             detail = action.apply(self, sim)
             fired = True
             if self.observer is not None:
-                self.observer.fault_injected(now, action.kind, detail)
+                self.observer.emit(
+                    now, "fault_injected", fault=action.kind, detail=detail
+                )
         if fired and running and self.policy.reroute_on_failure:
             # recovery hook: re-open channels for jobs stranded with
             # no transport (e.g. every channel cut) — policies can opt
             # out via ``reroute_on_failure = False``.
             readmitted = sim.readmit_stranded()
             if readmitted and self.observer is not None:
-                self.observer.jobs_readmitted(now, len(readmitted))
+                self.observer.count("chaos.jobs_readmitted", len(readmitted))
         return iv_idx
 
     # -- golden reference: the dt-grid loop ----------------------------
@@ -731,18 +736,15 @@ class ServiceSimulator:
                 state = pending.popleft()
                 waiting.append(state)
                 if self.observer is not None:
-                    self.observer.job_submitted(
-                        now,
-                        state.request.name,
-                        state.request.tenant,
-                        state.request.sla.label,
+                    self.observer.emit(
+                        now, "job_submitted", job=state.request.name,
+                        tenant=state.request.tenant, sla=state.request.sla.label,
                     )
                     if state.decision.deferred:
-                        self.observer.job_deferred(
-                            now,
-                            state.request.name,
-                            state.decision.release_time,
-                            state.decision.reason,
+                        self.observer.emit(
+                            now, "job_deferred", job=state.request.name,
+                            until=state.decision.release_time,
+                            reason=state.decision.reason,
                         )
 
             # 2. admission under the cap and per-tenant fairness
@@ -827,8 +829,9 @@ class ServiceSimulator:
             tenant_running[tenant] = tenant_running.get(tenant, 0) + 1
             slots -= 1
             if self.observer is not None:
-                self.observer.job_admitted(
-                    now, state.request.name, state.result.queue_wait_s
+                self.observer.emit(
+                    now, "job_admitted", job=state.request.name,
+                    queue_wait_s=state.result.queue_wait_s,
                 )
         for entry in skipped:
             heapq.heappush(eligible, entry)
@@ -911,18 +914,15 @@ class ServiceSimulator:
             while pending and pending[0].request.submit_time <= now + 1e-9:
                 state = pending.popleft()
                 if observer is not None:
-                    observer.job_submitted(
-                        now,
-                        state.request.name,
-                        state.request.tenant,
-                        state.request.sla.label,
+                    observer.emit(
+                        now, "job_submitted", job=state.request.name,
+                        tenant=state.request.tenant, sla=state.request.sla.label,
                     )
                     if state.decision.deferred:
-                        observer.job_deferred(
-                            now,
-                            state.request.name,
-                            state.decision.release_time,
-                            state.decision.reason,
+                        observer.emit(
+                            now, "job_deferred", job=state.request.name,
+                            until=state.decision.release_time,
+                            reason=state.decision.reason,
                         )
                 if state.decision.release_time <= now + 1e-9:
                     heapq.heappush(eligible, eligible_entry(state))
@@ -984,8 +984,9 @@ class ServiceSimulator:
                     d_rounds = sim.macro_rounds - last_macro_rounds
                     d_dts = sim.macro_stepped_dts - last_macro_dts
                     if d_rounds:
-                        observer.service_macro_step(
-                            now, d_dts, d_dts * dt, d_rounds
+                        observer.emit(
+                            now, "service_macro_step", steps=d_dts,
+                            span_s=d_dts * dt, rounds=d_rounds,
                         )
                     last_macro_rounds = sim.macro_rounds
                     last_macro_dts = sim.macro_stepped_dts

@@ -373,12 +373,12 @@ class TestFleetValidation:
 
 class TestFleetObservability:
     def test_event_schema_has_fleet_kinds(self):
-        assert EVENT_SCHEMA["shard_started"] == frozenset({"shard", "jobs"})
-        assert EVENT_SCHEMA["shard_completed"] == frozenset(
+        assert EVENT_SCHEMA["shard_started"].keys == frozenset({"shard", "jobs"})
+        assert EVENT_SCHEMA["shard_completed"].keys == frozenset(
             {"shard", "jobs", "wall_s"}
         )
-        assert EVENT_SCHEMA["job_routed"] == frozenset({"job", "shard"})
-        assert EVENT_SCHEMA["work_stolen"] == frozenset(
+        assert EVENT_SCHEMA["job_routed"].keys == frozenset({"job", "shard"})
+        assert EVENT_SCHEMA["work_stolen"].keys == frozenset(
             {"job", "from_shard", "to_shard"}
         )
 
@@ -415,9 +415,9 @@ class TestFleetObservability:
 
     def test_merge_summaries_fleet_counters_and_histograms(self):
         a, b = Observer(), Observer()
-        a.shard_completed(10.0, "s0", 5, 1.0)
-        b.shard_completed(12.0, "s1", 7, 2.0)
-        b.shard_completed(13.0, "s2", 3, 4.0)
+        a.emit(10.0, "shard_completed", shard="s0", jobs=5, wall_s=1.0)
+        b.emit(12.0, "shard_completed", shard="s1", jobs=7, wall_s=2.0)
+        b.emit(13.0, "shard_completed", shard="s2", jobs=3, wall_s=4.0)
         merged = merge_summaries([a.summary(), b.summary()])
         counters = merged["metrics"]["counters"]
         assert counters["fleet.shard_completions"] == 3

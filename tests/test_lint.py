@@ -285,6 +285,17 @@ class TestUnguardedObserver:
             """
         assert lint(source, codes=["RPL004"]) == []
 
+    def test_unguarded_emit_and_count_flagged(self):
+        findings = lint(
+            """
+            def step(observer, t):
+                observer.emit(t, "fixed_dt_fallback", steps=3)
+                observer.count("engine.fixed_steps", 3)
+            """,
+            codes=["RPL004"],
+        )
+        assert codes_of(findings) == ["RPL004", "RPL004"]
+
     def test_obs_package_is_exempt(self):
         source = "def f(observer):\n    observer.on_step(1.0)\n"
         assert lint(source, path="src/repro/obs/fixture.py", codes=["RPL004"]) == []
@@ -317,6 +328,38 @@ class TestUnknownEventKind:
         source = """
             def record(stream, t):
                 stream.emit(t, "job_admitted", job="j0", queue_wait_s=0.0)
+            """
+        assert lint(source, codes=["RPL005"]) == []
+
+    def test_unknown_kind_on_observer_flagged(self):
+        findings = lint(
+            """
+            def record(observer, t):
+                if observer is not None:
+                    observer.emit(t, "job_teleported", job="j0")
+            """,
+            codes=["RPL005"],
+        )
+        assert codes_of(findings) == ["RPL005"]
+        assert "job_teleported" in findings[0].message
+
+    def test_missing_required_key_flagged(self):
+        findings = lint(
+            """
+            def record(observer, t):
+                if observer is not None:
+                    observer.emit(t, "job_deferred", job="j0", until=60.0)
+            """,
+            codes=["RPL005"],
+        )
+        assert codes_of(findings) == ["RPL005"]
+        assert "reason" in findings[0].message
+
+    def test_splatted_detail_is_not_key_checked(self):
+        source = """
+            def record(observer, t, detail):
+                if observer is not None:
+                    observer.emit(t, "job_deferred", **detail)
             """
         assert lint(source, codes=["RPL005"]) == []
 
