@@ -81,10 +81,7 @@ def integrate_path_energy(
     routers dominate switches, as they do in the paper's Figure 10.
     """
     breakdowns = []
-    for node in topology.transfer_path():
-        device = topology.graph.nodes[node].get("device")
-        if device is None:
-            continue
+    for node, device in topology.devices:
         model = model_factory(device)
         dynamic = integrate_device_energy(
             trace, model, line_rate, dt=dt, include_idle=False

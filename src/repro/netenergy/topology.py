@@ -12,16 +12,14 @@ destination hosts:
   Figure 10.
 * **DIDCLAB** (WS9 -> WS6): a single LAN edge switch.
 
-Topologies are expressed as :mod:`networkx` graphs so path enumeration,
-device inventories and per-hop accounting stay queryable, and the
-transfer path is the shortest source->destination path.
+Each topology is held as its ordered ``(node, device)`` chain, so the
+transfer path, device inventory and per-hop accounting are read off
+the chain in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.netenergy.devices import (
     EDGE_ROUTER,
@@ -57,25 +55,22 @@ def packet_count(total_bytes: float, mtu_bytes: int = DEFAULT_MTU_BYTES) -> floa
 
 @dataclass
 class NetworkTopology:
-    """A named device graph with a designated transfer path."""
+    """A named chain of network devices between two hosts."""
 
     name: str
-    graph: nx.Graph
     source: str
     destination: str
+    #: ``(node name, device type)`` hops in source -> destination order
+    devices: tuple[tuple[str, DeviceType], ...]
 
     def transfer_path(self) -> list[str]:
-        """Node names along the source->destination shortest path."""
-        return nx.shortest_path(self.graph, self.source, self.destination)
+        """Node names along the source->destination path."""
+        return [self.source, *(node for node, _ in self.devices),
+                self.destination]
 
     def path_devices(self) -> list[DeviceType]:
         """Device types traversed by the transfer (hosts excluded)."""
-        devices = []
-        for node in self.transfer_path():
-            device = self.graph.nodes[node].get("device")
-            if device is not None:
-                devices.append(device)
-        return devices
+        return [device for _, device in self.devices]
 
     def dynamic_transfer_energy(
         self, total_bytes: float, mtu_bytes: int = DEFAULT_MTU_BYTES
@@ -91,12 +86,8 @@ class NetworkTopology:
         """(device node name, joules) along the path, for reporting —
         ``total_bytes`` bytes of payload in ``mtu_bytes``-byte packets."""
         packets = packet_count(total_bytes, mtu_bytes)
-        rows = []
-        for node in self.transfer_path():
-            device = self.graph.nodes[node].get("device")
-            if device is not None:
-                rows.append((node, device.dynamic_energy(packets)))
-        return rows
+        return [(node, device.dynamic_energy(packets))
+                for node, device in self.devices]
 
     def describe(self) -> str:
         """The transfer path as 'name: hop -> hop -> ...'."""
@@ -104,26 +95,13 @@ class NetworkTopology:
         return f"{self.name}: {hops}"
 
 
-def _chain(name: str, source: str, destination: str, devices: list[tuple[str, DeviceType]]) -> NetworkTopology:
-    graph = nx.Graph()
-    graph.add_node(source, device=None)
-    previous = source
-    for node_name, device in devices:
-        graph.add_node(node_name, device=device)
-        graph.add_edge(previous, node_name)
-        previous = node_name
-    graph.add_node(destination, device=None)
-    graph.add_edge(previous, destination)
-    return NetworkTopology(name=name, graph=graph, source=source, destination=destination)
-
-
 def xsede_topology() -> NetworkTopology:
     """Figure 9(a): Gordon (SDSC) <-> Internet2 <-> Stampede (TACC)."""
-    return _chain(
+    return NetworkTopology(
         "XSEDE",
         "gordon-sdsc",
         "stampede-tacc",
-        [
+        (
             ("edge-switch-sdsc", EDGE_SWITCH),
             ("enterprise-switch-sdsc", ENTERPRISE_SWITCH),
             ("edge-router-sdsc", EDGE_ROUTER),
@@ -132,7 +110,7 @@ def xsede_topology() -> NetworkTopology:
             ("edge-router-tacc", EDGE_ROUTER),
             ("enterprise-switch-tacc", ENTERPRISE_SWITCH),
             ("edge-switch-tacc", EDGE_SWITCH),
-        ],
+        ),
     )
 
 
@@ -143,28 +121,28 @@ def futuregrid_topology() -> NetworkTopology:
     Internet2 core), matching the paper's observation that FutureGrid
     has the largest network-side energy share.
     """
-    return _chain(
+    return NetworkTopology(
         "FutureGrid",
         "hotel-uc",
         "alamo-tacc",
-        [
+        (
             ("edge-switch-uc", EDGE_SWITCH),
             ("metro-router-uc", METRO_ROUTER),
             ("internet2-metro-1", METRO_ROUTER),
             ("internet2-metro-2", METRO_ROUTER),
             ("metro-router-tacc", METRO_ROUTER),
             ("edge-switch-tacc", EDGE_SWITCH),
-        ],
+        ),
     )
 
 
 def didclab_topology() -> NetworkTopology:
     """Figure 9(c): WS9 <-> LAN edge switch <-> WS6."""
-    return _chain(
+    return NetworkTopology(
         "DIDCLAB",
         "ws9",
         "ws6",
-        [("lan-switch", EDGE_SWITCH)],
+        (("lan-switch", EDGE_SWITCH),),
     )
 
 
