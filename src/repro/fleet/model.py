@@ -24,7 +24,7 @@ from repro.core.mine import MinEAlgorithm
 from repro.core.scheduler import TransferOutcome
 from repro.core.slaee import SLAEEAlgorithm
 from repro.datasets.files import Dataset
-from repro.service.tariff import TariffTrace
+from repro.service.tariff import JOULES_PER_KWH, TariffTrace
 from repro.testbeds.specs import Testbed
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
 #: data transfers worldwide is estimated to be 450 Terawatt hours".
 WORLD_TRANSFER_TWH_PER_YEAR = 450.0
 
-_JOULES_PER_KWH = 3.6e6
 _DAYS_PER_YEAR = 365
 
 
@@ -99,7 +98,7 @@ class TariffModel:
         """
         if self.schedule is not None and start is not None:
             return self.schedule.cost(joules, start, duration)
-        return joules / _JOULES_PER_KWH * self.dollars_per_kwh
+        return joules / JOULES_PER_KWH * self.dollars_per_kwh
 
     def kg_co2(
         self, joules: float, *, start: Optional[float] = None,
@@ -108,7 +107,7 @@ class TariffModel:
         """Emissions attributable to ``joules`` at this grid intensity."""
         if self.schedule is not None and start is not None:
             return self.schedule.carbon(joules, start, duration)
-        return joules / _JOULES_PER_KWH * self.kg_co2_per_kwh
+        return joules / JOULES_PER_KWH * self.kg_co2_per_kwh
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,7 @@ class FleetModel:
             kg += annual * self.tariff.kg_co2(
                 outcome.energy_joules, start=start, duration=outcome.duration_s
             )
-        kwh = joules / _JOULES_PER_KWH
+        kwh = joules / JOULES_PER_KWH
         return PolicyReport(
             policy=policy,
             annual_jobs=jobs,
