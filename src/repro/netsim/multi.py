@@ -133,6 +133,8 @@ class MultiTransferSimulator:
         self.dt = testbed.engine_dt
         self.time = 0.0
         self.observer = observer
+        #: Eq. 1 model shared by every job's engine (it is frozen).
+        self._power_model = FineGrainedPowerModel(testbed.coefficients)
         #: Optional shared network: a spec string (``"leaf-spine:s=2,l=4"``)
         #: is built against the testbed path's bandwidth; a
         #: :class:`~repro.topo.core.Topology` is used as-is. With a
@@ -210,12 +212,11 @@ class MultiTransferSimulator:
             raise ValueError("arrival_time must be >= 0")
         if name in self._names:
             raise ValueError(f"duplicate job name {name!r}")
-        model = FineGrainedPowerModel(self.testbed.coefficients)
         engine = TransferEngine(
             self.testbed.path,
             self.testbed.source,
             self.testbed.destination,
-            model.power,
+            self._power_model.power,
             dt=self.dt,
             binding=self.binding,
             work_stealing=True,
@@ -722,6 +723,7 @@ class MultiTransferSimulator:
             record.energy_joules += engine.total_energy - before_energy
             if engine.finished and not record.finished:
                 record.completion_time = self.time + self.dt
+                engine.release_memos()
                 self._release_flow(record)
         self.time += self.dt
 
@@ -891,6 +893,7 @@ class MultiTransferSimulator:
                 if engine.finished and not record.finished:
                     record.completion_time = self.time
                     engine.flush_fallback_events()
+                    engine.release_memos()
                     self._release_flow(record)
                     completed.append(record)
             if completed:

@@ -1,11 +1,13 @@
 """Power models: Eq. 1 (fine-grained), Eq. 2 (CPU quadratic), Eq. 3 (TDP)."""
 
+import random
+
 import pytest
 
 from repro import units
 from repro.netsim.disk import ParallelDisk
 from repro.netsim.endpoint import ServerSpec
-from repro.netsim.utilization import Utilization
+from repro.netsim.utilization import Utilization, compute_utilization
 from repro.power.coefficients import (
     CPU_QUAD_A,
     CPU_QUAD_B,
@@ -106,6 +108,80 @@ class TestFineGrainedModel:
     def test_never_negative(self):
         model = FineGrainedPowerModel()
         assert model.power(server(), util(cpu=0, mem=0, disk=0, nic=0)) >= 0.0
+
+
+class TestPowerKernel:
+    """``power_kernel`` is bit-identical (``==``, not approx) to
+    ``power`` and ``power_components`` of ``compute_utilization``."""
+
+    THROUGHPUTS = (0.0, 1.0, 3.7e4, 1.2345678e6, 5e7, 123456789.123, 2e8, 4.5e8, 1e9, 1e12)
+
+    def test_matches_over_random_throughputs(self):
+        rng = random.Random(7)
+        model = FineGrainedPowerModel()
+        for _ in range(2000):
+            channels = rng.randint(1, 12)
+            streams = channels * rng.randint(1, 4)
+            throughput = rng.uniform(0.0, 2e9)
+            self.assert_identical(model, server(), channels, streams, throughput)
+
+    @staticmethod
+    def assert_identical(model, spec, channels, streams, throughput):
+        u = compute_utilization(spec, channels=channels, streams=streams, throughput=throughput)
+        watts, *parts = model.power_kernel(spec, channels, streams)(throughput)
+        assert watts == model.power(spec, u)
+        assert tuple(parts) == tuple(model.power_components(spec, u).values())
+        return u
+
+    @pytest.mark.parametrize("throughput", THROUGHPUTS)
+    @pytest.mark.parametrize("channels,streams", [(1, 1), (2, 5), (4, 4), (6, 9), (13, 40)])
+    def test_matches_power_and_components(self, channels, streams, throughput):
+        self.assert_identical(FineGrainedPowerModel(), server(), channels, streams, throughput)
+
+    def test_zero_throughput(self):
+        u = self.assert_identical(FineGrainedPowerModel(), server(), 3, 3, 0.0)
+        assert u.mem_pct == u.disk_pct == u.nic_pct == 0.0
+        assert u.cpu_pct > 0.0  # overhead cores still burn CPU
+
+    def test_thrash_when_channels_exceed_cores(self):
+        spec = server()
+        for channels in (spec.cores + 1, 3 * spec.cores):
+            u = self.assert_identical(FineGrainedPowerModel(), spec, channels, channels, 1e8)
+            plain = compute_utilization(spec, channels=spec.cores, streams=channels, throughput=1e8)
+            assert u.cpu_pct > plain.cpu_pct
+
+    def test_clamps(self):
+        spec = ServerSpec(
+            name="slow", cores=2, tdp_watts=100.0, nic_rate=units.gbps(1),
+            disk=ParallelDisk(50e6, 200e6), per_channel_rate=50e6, core_rate=1e6,
+        )
+        u = self.assert_identical(FineGrainedPowerModel(), spec, 3, 6, 1e12)
+        assert u.cpu_pct == 100.0 * spec.cores
+        assert u.mem_pct == u.disk_pct == u.nic_pct == 100.0
+
+    def test_non_default_coefficients(self):
+        model = FineGrainedPowerModel(
+            CoefficientSet(cpu_a=0.02, cpu_b=-0.1, cpu_c=0.5, memory=0.03, disk=0.11, nic=0.07, scale=1.37)
+        )
+        for throughput in self.THROUGHPUTS:
+            for channels, streams in ((1, 2), (5, 5), (8, 30)):
+                self.assert_identical(model, server(), channels, streams, throughput)
+
+    def test_negative_total_clamps_to_zero(self):
+        model = FineGrainedPowerModel(CoefficientSet(cpu_c=-5.0, memory=0.0, disk=0.0, nic=0.0))
+        assert model.power_kernel(server(), 1, 1)(1e6)[0] == 0.0
+        self.assert_identical(model, server(), 1, 1, 1e6)
+
+    def test_negative_throughput_rejected(self):
+        with pytest.raises(ValueError):
+            compute_utilization(server(), channels=2, streams=2, throughput=-1.0)
+        with pytest.raises(ValueError):
+            FineGrainedPowerModel().power_kernel(server(), 2, 2)(-1.0)
+
+    @pytest.mark.parametrize("channels,streams", [(-1, 0), (0, 0), (0, -1), (3, 2)])
+    def test_invalid_configuration_rejected(self, channels, streams):
+        with pytest.raises(ValueError):
+            FineGrainedPowerModel().power_kernel(server(), channels, streams)
 
 
 class TestCpuTdpModel:
