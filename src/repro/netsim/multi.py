@@ -23,15 +23,12 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Optional, Union
 
-import numpy as np
-
 from repro.netsim.channel import Channel
 from repro.netsim.engine import (
-    ACCUM_VECTOR_MIN,
     Binding,
     ChunkPlan,
     TransferEngine,
-    accumulate_times,
+    advance_clock,
 )
 from repro.power.models import FineGrainedPowerModel
 from repro.testbeds.specs import Testbed
@@ -49,14 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import Observer
 
 __all__ = ["JobRecord", "MultiTransferSimulator", "TransferTimeout"]
-
-#: Coupled sets at least this wide take the batched array path through
-#: :meth:`MultiTransferSimulator.run_until` rounds (stream counts,
-#: refill check and energy deltas as single array ops). Narrow sets —
-#: the common service case of a handful of concurrent jobs — keep the
-#: scalar path, whose per-round overhead is lower. Both paths are
-#: bit-equal.
-_VECTOR_MIN_ENGINES = 8
 
 
 class TransferTimeout(RuntimeError):
@@ -334,7 +323,6 @@ class MultiTransferSimulator:
         running: list[tuple[JobRecord, TransferEngine]],
         counts: list[int],
         total: int,
-        counts_arr: Optional[np.ndarray] = None,
     ) -> list[float]:
         """Competing stream count each running engine sees this round.
 
@@ -349,9 +337,6 @@ class MultiTransferSimulator:
         """
         ambient = self._ambient_streams
         if self._placer is None:
-            if counts_arr is not None:
-                # batched array pass; bit-equal to the scalar arithmetic
-                return (total - counts_arr + ambient).tolist()
             return [total - count + ambient for count in counts]
         hop_streams: dict[str, int] = {}
         for (record, _engine), count in zip(running, counts):
@@ -755,14 +740,6 @@ class MultiTransferSimulator:
         method returns at the first completion so the caller can bill
         and re-admit at the completion's grid time, exactly as a
         per-step loop would.
-
-        Wide coupled sets (``>= 8`` running engines — a fleet shard
-        with dozens of concurrent jobs) batch the per-round stream
-        counts, the refill check and the energy deltas into single
-        NumPy array passes; long spans batch the time additions into
-        one sequential-fold accumulate. Both are bit-equal to the
-        scalar round (integer compares; float64 subtraction and
-        left-fold addition are the identical scalar operations).
         """
         dt = self.dt
         completed: list[JobRecord] = []
@@ -789,11 +766,7 @@ class MultiTransferSimulator:
             engines = [engine for _record, engine in running]
             counts0 = [self._busy_streams(engine) for engine in engines]
             total0 = sum(counts0)
-            vector = n >= _VECTOR_MIN_ENGINES
-            counts_arr = np.array(counts0, dtype=np.int64) if vector else None
-            backgrounds = self._backgrounds(
-                running, counts0, total0, counts_arr
-            )
+            backgrounds = self._backgrounds(running, counts0, total0)
             for i, engine in enumerate(engines):
                 engine.set_background_streams(backgrounds[i])
             self._impose_caps(running)
@@ -822,22 +795,10 @@ class MultiTransferSimulator:
                 # Work assignment refilled or re-bound a channel: the
                 # count the peers sample next round already differs
                 # from the frozen one, so only one exact step is safe.
-                refilled = False
-                if vector:
-                    new_counts = np.fromiter(
-                        (
-                            sum(c.parallelism for c in busy)
-                            for busy in prepared_busy
-                        ),
-                        dtype=np.int64,
-                        count=n,
-                    )
-                    refilled = bool((new_counts != counts_arr).any())
-                else:
-                    for i, busy in enumerate(prepared_busy):
-                        if sum(c.parallelism for c in busy) != counts0[i]:
-                            refilled = True
-                            break
+                refilled = any(
+                    sum(c.parallelism for c in busy) != counts0[i]
+                    for i, busy in enumerate(prepared_busy)
+                )
                 if refilled:
                     if n > 1 or capped or self._would_bind(running):
                         k = 1
@@ -856,34 +817,12 @@ class MultiTransferSimulator:
                         if k < 2:
                             k = 1
                             break
-            if vector:
-                before = np.fromiter(
-                    (engine.total_energy for engine in engines),
-                    dtype=np.float64,
-                    count=n,
-                )
-                for i, engine in enumerate(engines):
-                    engine.advance_prepared(prepared_busy[i], prepared_rates[i], k)
-                after = np.fromiter(
-                    (engine.total_energy for engine in engines),
-                    dtype=np.float64,
-                    count=n,
-                )
-                deltas = after - before
-                for i, (record, _engine) in enumerate(running):
-                    record.energy_joules += float(deltas[i])
-            else:
-                for i, (record, engine) in enumerate(running):
-                    before_energy = engine.total_energy
-                    engine.advance_prepared(prepared_busy[i], prepared_rates[i], k)
-                    record.energy_joules += engine.total_energy - before_energy
-            # repeated addition: bit-equal to grid time (long spans
-            # batch the additions into one sequential-fold array op)
-            if k >= ACCUM_VECTOR_MIN:
-                self.time = float(accumulate_times(self.time, dt, k)[-1])
-            else:
-                for _ in range(k):
-                    self.time += dt
+            for i, (record, engine) in enumerate(running):
+                before_energy = engine.total_energy
+                engine.advance_prepared(prepared_busy[i], prepared_rates[i], k)
+                record.energy_joules += engine.total_energy - before_energy
+            # repeated addition: bit-equal to grid time
+            self.time = advance_clock(self.time, dt, k)
             if k > 1:
                 self.macro_rounds += 1
                 self.macro_stepped_dts += k

@@ -17,16 +17,10 @@ freezes in ascending ``demand/weight`` order (ties by id). Two calls
 with equal inputs return bit-equal outputs — the property the
 simulator's fast-vs-grid equivalence rests on.
 
-Three ways to reach the fixed point, all bit-identical:
+Two ways to reach the fixed point, bit-identical:
 
-* the **scalar** solver (the reference, used below
-  :data:`_VECTOR_MIN_FLOWS` flows);
-* the **vectorized** solver — per-round level/compare passes as NumPy
-  array ops, automatically engaged at ≥ :data:`_VECTOR_MIN_FLOWS`
-  unit-weight flows (every array op it uses is elementwise, so each
-  float operation is the identical IEEE-754 operation the scalar
-  solver performs; the order-sensitive ``frozen_load`` accumulation
-  stays a scalar left-fold in the canonical freeze order);
+* the progressive-filling **solver** (:func:`_solve_scalar`, the
+  reference);
 * the **memoized** path — :func:`allocate` keys every call on a
   canonical (flow, path, demand, weight, capacity) signature in a
   module-level LRU, so a repeated round with a frozen busy signature
@@ -51,8 +45,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from repro.units import BytesPerSecond
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,12 +66,6 @@ __all__ = [
 #: least one flow per round, so ``_MAX_ROUNDS`` is never reached on
 #: well-formed inputs.
 _MAX_ROUNDS = 64
-
-#: Unit-weight flow sets at least this wide take the vectorized
-#: solver; narrower sets (the common per-simulator case of a handful
-#: of concurrent jobs) keep the scalar path, whose per-round overhead
-#: is lower. Both are bit-equal.
-_VECTOR_MIN_FLOWS = 32
 
 #: Allocation results the LRU holds. Each entry is a few dicts over
 #: the flow set (~3 KB at fleet-shard flow counts) — small next to the
@@ -355,108 +341,6 @@ def _solve_scalar(
     return rates, binding, rounds
 
 
-def _solve_vector(
-    names: list[str],
-    demands: dict[str, float],
-    weights: dict[str, float],
-    paths: dict[str, tuple[str, ...]],
-    by_bottleneck: dict[str, list[str]],
-    capacities: dict[str, float],
-    max_rounds: int,
-) -> tuple[dict[str, float], dict[str, Optional[str]], int]:
-    """Vectorized progressive filling, bit-identical to the scalar
-    solver for unit-weight flows.
-
-    Per-round work — the saturation levels, their minimum, and the
-    demand-vs-level compare — runs as NumPy elementwise array ops,
-    which perform the identical IEEE-754 operation per element the
-    scalar loop performs. Everything order-sensitive stays scalar:
-    active weights are exact integer counts (unit weights), and
-    ``frozen_load`` accumulates by the same left-fold ``+=`` in the
-    same canonical freeze order as :func:`_solve_scalar`.
-    """
-    n = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    hops_sorted = sorted(by_bottleneck)
-    h = len(hops_sorted)
-    hop_index = {hop: j for j, hop in enumerate(hops_sorted)}
-    members = [
-        [index[flow] for flow in by_bottleneck[hop]] for hop in hops_sorted
-    ]
-    flow_hops = [
-        [hop_index[hop] for hop in paths[name]] for name in names
-    ]
-    demand_list = [demands[name] for name in names]
-    weight_list = [weights[name] for name in names]
-    demand_arr = np.array(demand_list, dtype=np.float64)
-    weight_arr = np.array(weight_list, dtype=np.float64)
-    # demand/weight per flow: the same elementwise division the scalar
-    # condition computes (weights are 1.0 here, but keep the op).
-    dw_arr = demand_arr / weight_arr
-    dw_list = dw_arr.tolist()
-    # Canonical freeze rank: ascending (demand/weight, id). ``names``
-    # is sorted, so the flow index is the id tie-break.
-    order = sorted(range(n), key=lambda i: (dw_list[i], i))
-    rank = [0] * n
-    for r, i in enumerate(order):
-        rank[i] = r
-    rank_arr = np.array(rank, dtype=np.int64)
-
-    caps_arr = np.array(
-        [capacities[hop] for hop in hops_sorted], dtype=np.float64
-    )
-    frozen_load = [0.0] * h
-    active_count = [float(len(m)) for m in members]
-    active = np.ones(n, dtype=bool)
-    rates = [0.0] * n
-    binding: list[Optional[str]] = [None] * n
-    rounds = 0
-    while bool(active.any()) and rounds < max_rounds:
-        rounds += 1
-        ac = np.array(active_count, dtype=np.float64)
-        fl = np.array(frozen_load, dtype=np.float64)
-        live = ac > 0.0
-        if not bool(live.any()):  # pragma: no cover - every flow has a hop
-            break
-        levels = np.full(h, np.inf, dtype=np.float64)
-        np.divide(caps_arr - fl, ac, out=levels, where=live)
-        np.maximum(levels, 0.0, out=levels)
-        cap_level = float(levels[live].min())
-        frz = active & (dw_arr <= cap_level)
-        if bool(frz.any()):
-            batch = np.flatnonzero(frz)
-            batch = batch[np.argsort(rank_arr[batch], kind="stable")]
-            for i in batch.tolist():
-                rates[i] = demand_list[i]
-                binding[i] = None
-        else:
-            saturated = live & (levels <= cap_level)
-            sat_hops = np.flatnonzero(saturated).tolist()
-            crossing = np.zeros(n, dtype=bool)
-            for j in sat_hops:
-                for i in members[j]:
-                    crossing[i] = True
-            crossing &= active
-            batch = np.flatnonzero(crossing)  # ascending index = id order
-            for i in batch.tolist():
-                rates[i] = weight_list[i] * cap_level
-                for j in flow_hops[i]:
-                    if bool(saturated[j]):
-                        binding[i] = hops_sorted[j]
-                        break
-        for i in batch.tolist():
-            active[i] = False
-            for j in flow_hops[i]:
-                frozen_load[j] += rates[i]
-                active_count[j] -= 1.0
-    for i in np.flatnonzero(active).tolist():  # pragma: no cover - backstop
-        rates[i] = demand_list[i]
-        binding[i] = None
-    out_rates = {name: rates[i] for i, name in enumerate(names)}
-    out_binding = {name: binding[i] for i, name in enumerate(names)}
-    return out_rates, out_binding, rounds
-
-
 def _finalize(
     rates: dict[str, float],
     demands: dict[str, float],
@@ -494,10 +378,8 @@ def _allocate_fresh(
     topology: "Topology",
     flows: Sequence[FlowDemand],
     max_rounds: int,
-    vector: Optional[bool],
 ) -> AllocationResult:
     ordered = sorted(flows, key=lambda f: f.flow)
-    names = [f.flow for f in ordered]
     demands = {f.flow: float(f.demand) for f in ordered}
     weights = {f.flow: float(f.weight) for f in ordered}
     paths = {f.flow: f.path for f in ordered}
@@ -508,23 +390,9 @@ def _allocate_fresh(
     capacities = {
         hop: topology.capacity(hop) for hop in sorted(by_bottleneck)
     }
-    unit = all(w == 1.0 for w in weights.values())
-    if vector is None:
-        vector = unit and len(ordered) >= _VECTOR_MIN_FLOWS
-    elif vector and not unit:
-        raise ValueError(
-            "vector=True requires unit weights (the bit-identity "
-            "argument needs exact integer weight sums)"
-        )
-    if vector:
-        rates, binding, rounds = _solve_vector(
-            names, demands, weights, paths, by_bottleneck, capacities,
-            max_rounds,
-        )
-    else:
-        rates, binding, rounds = _solve_scalar(
-            demands, weights, paths, by_bottleneck, capacities, max_rounds
-        )
+    rates, binding, rounds = _solve_scalar(
+        demands, weights, paths, by_bottleneck, capacities, max_rounds
+    )
     return _finalize(
         rates, demands, weights, binding, paths, by_bottleneck, rounds
     )
@@ -536,7 +404,6 @@ def allocate(
     *,
     max_rounds: int = _MAX_ROUNDS,
     cache: Optional[bool] = None,
-    vector: Optional[bool] = None,
 ) -> AllocationResult:
     """Progressive filling to the exact network max-min allocation.
 
@@ -555,10 +422,6 @@ def allocate(
     ``cache`` overrides the module default (:func:`set_alloc_cache`):
     a hit on the canonical exact-value signature returns the memoized
     :class:`AllocationResult` — bit-identical by construction.
-    ``vector`` overrides the automatic ``>= _VECTOR_MIN_FLOWS``
-    unit-weight dispatch (``True`` forces the vectorized solver,
-    ``False`` forces the scalar reference; both return bit-identical
-    results).
     """
     global _cache_hits, _cache_misses
     if not flows:
@@ -575,7 +438,7 @@ def allocate(
             _CACHE.move_to_end(key)
             return hit
         _cache_misses += 1
-    result = _allocate_fresh(topology, flows, max_rounds, vector)
+    result = _allocate_fresh(topology, flows, max_rounds)
     if use_cache:
         _CACHE[key] = result
         while len(_CACHE) > _CACHE_MAX:
@@ -685,7 +548,7 @@ def refill(
     if len(affected_flows) == len(flow_by_name):
         # Everything is reachable from the change: a plain solve (the
         # miss was already counted above; store under the full key).
-        full = _allocate_fresh(topology, flows, max_rounds, None)
+        full = _allocate_fresh(topology, flows, max_rounds)
         if use_cache and key is not None:
             _CACHE[key] = full
             while len(_CACHE) > _CACHE_MAX:

@@ -366,18 +366,30 @@ class TestRunUntil:
         total = sim.macro_stepped_dts + sim.fixed_rounds
         assert total == pytest.approx(sim.time / sim.dt, abs=1.0)
 
-    def test_wide_fleet_vector_path_matches_grid(self, shared_testbed):
-        """At >= 8 concurrent engines ``run_until`` batches its
-        per-round bookkeeping into array ops; the wide path must stay
-        bit-equal to the per-``step()`` grid, like the narrow one."""
-        from repro.netsim.multi import _VECTOR_MIN_ENGINES
+    @staticmethod
+    def _peak_concurrency(records) -> int:
+        """Most jobs running at once over ``[start, completion)``."""
+        events = sorted(
+            [(r.start_time, 1) for r in records]
+            + [(r.completion_time, -1) for r in records]
+        )
+        running = peak = 0
+        for _time, delta in events:  # completions sort before starts
+            running += delta
+            peak = max(peak, running)
+        return peak
+
+    def test_wide_coupled_set_matches_grid(self, shared_testbed):
+        """A wide coupled set (ten jobs overlapping, as on a busy fleet
+        shard) must stay bit-equal to the per-``step()`` grid, like the
+        narrow one."""
 
         def workload(sim: MultiTransferSimulator):
             for i in range(10):
                 sim.submit(
                     f"w{i}",
-                    plan(f"w{i}", n_files=6, size=(15 + 5 * (i % 3)) * units.MB),
-                    arrival_time=1.5 * i,
+                    plan(f"w{i}", n_files=12, size=(15 + 5 * (i % 3)) * units.MB),
+                    arrival_time=0.25 * i,
                 )
 
         grid = MultiTransferSimulator(shared_testbed, max_concurrent_jobs=10)
@@ -388,8 +400,7 @@ class TestRunUntil:
         workload(fast)
         self._drive_fast(fast)
 
-        # the cap admits every job, so the vector threshold was crossed
-        assert len(fast.records()) >= _VECTOR_MIN_ENGINES
+        assert self._peak_concurrency(fast.records()) >= 8
         for rf, rg in zip(fast.records(), grid.records(), strict=True):
             assert rf.start_time == rg.start_time          # bit-equal
             assert rf.completion_time == rg.completion_time
@@ -400,18 +411,29 @@ class TestRunUntil:
 
 class TestAccumulateTimes:
     """The vectorised running-sum helper underpinning both fast paths
-    must fold exactly like the scalar ``t += dt`` loop it replaces."""
+    must fold exactly like the scalar ``t += dt`` loop it replaces, and
+    the one clock helper both paths call must land on the same bits on
+    both sides of its array threshold."""
 
     def test_bit_equal_to_scalar_loop(self):
-        from repro.netsim.engine import accumulate_times
+        from repro.netsim.engine import (
+            ACCUM_VECTOR_MIN,
+            accumulate_times,
+            advance_clock,
+        )
 
+        ks = (1, 2, 31, 32, ACCUM_VECTOR_MIN - 1, ACCUM_VECTOR_MIN, 200)
         for t0 in (0.0, 1.0, 123.456789, 9.6e5):
             for dt in (0.1, 0.05, 0.125, 1.0 / 3.0):
-                for k in (1, 2, 31, 32, 200):
-                    times = accumulate_times(t0, dt, k)
+                for k in ks:
                     expected = []
                     t = t0
                     for _ in range(k):
                         t += dt
                         expected.append(t)
-                    assert times.tolist() == expected  # bit-equal, all k
+                    # bit-equal, all k
+                    assert accumulate_times(t0, dt, k).tolist() == expected
+                    assert advance_clock(t0, dt, k) == expected[-1]
+                    times: list[float] = []
+                    assert advance_clock(t0, dt, k, times) == expected[-1]
+                    assert times == expected

@@ -1,8 +1,8 @@
 """PR 10 performance-layer contracts.
 
-The allocation LRU, the vectorized progressive-filling path and
-incremental re-fill must all be *bit-identical* to the from-scratch
-scalar solve; the netsim round-reuse (signature skip + ``refill``)
+The allocation LRU and incremental re-fill must both be
+*bit-identical* to the from-scratch progressive-filling solve; the
+netsim round-reuse (signature skip + ``refill``)
 must leave every binding decision — and therefore every timestamp of
 a service day — exactly as a from-scratch ``allocate`` per round
 would; the fleet's ``topology-aware`` router must carve the fabric
@@ -105,7 +105,7 @@ def report_json(report) -> str:
 
 
 # ----------------------------------------------------------------------
-# allocator equivalence: scalar / vector / LRU / refill
+# allocator equivalence: solver / LRU / refill
 # ----------------------------------------------------------------------
 
 
@@ -115,7 +115,7 @@ class TestAllocatorEquivalence:
     def test_cached_hit_is_bit_identical(self, spec, n):
         topology = build_topology(spec, bandwidth=1e9)
         flows = flows_for(topology, n)
-        baseline = allocate(topology, flows, cache=False, vector=False)
+        baseline = allocate(topology, flows, cache=False)
         alloc_cache_clear()
         first = allocate(topology, flows)
         info = alloc_cache_info()
@@ -128,32 +128,12 @@ class TestAllocatorEquivalence:
         assert second is first  # the memoized object itself
 
     @pytest.mark.parametrize("spec", TOPOLOGY_SPECS)
-    def test_vector_path_is_bit_identical(self, spec):
-        topology = build_topology(spec, bandwidth=1e9)
-        flows = flows_for(topology, 48)
-        scalar = allocate(topology, flows, cache=False, vector=False)
-        vector = allocate(topology, flows, cache=False, vector=True)
-        assert vector == scalar
-        assert vector.rates == scalar.rates  # exact dict equality, no approx
-
-    def test_vector_rejects_non_unit_weights(self):
-        topology = build_topology("single-link", bandwidth=1e9)
-        flows = [FlowDemand(f"f{i}", ("link",), 1e8, weight=2.0)
-                 for i in range(40)]
-        with pytest.raises(ValueError, match="unit weights"):
-            allocate(topology, flows, cache=False, vector=True)
-        # auto dispatch quietly falls back to the scalar solver
-        assert allocate(topology, flows, cache=False) == allocate(
-            topology, flows, cache=False, vector=False
-        )
-
-    @pytest.mark.parametrize("spec", TOPOLOGY_SPECS)
     def test_refill_matches_from_scratch(self, spec):
         """Demand change, join and departure — each spliced result must
         equal a cold solve on the new flow set."""
         topology = build_topology(spec, bandwidth=1e9)
         flows = flows_for(topology, 24)
-        previous = allocate(topology, flows, cache=False, vector=False)
+        previous = allocate(topology, flows, cache=False)
 
         bumped = [
             FlowDemand(f.flow, f.path, f.demand * (1.5 if i == 3 else 1.0))
@@ -163,7 +143,7 @@ class TestAllocatorEquivalence:
         departed = [f for f in flows if f.flow != "f001"]
         for variant in (bumped, joined, departed):
             spliced = refill(topology, variant, previous, cache=False)
-            scratch = allocate(topology, variant, cache=False, vector=False)
+            scratch = allocate(topology, variant, cache=False)
             assert spliced == scratch
 
     def test_refill_unchanged_set_returns_previous(self):
@@ -220,7 +200,7 @@ class TestRoundReuseBindingRegression:
 
         def cold(topology, flows, previous, *, changed=None,
                  max_rounds=64, cache=None):
-            return allocate(topology, flows, cache=False, vector=False)
+            return allocate(topology, flows, cache=False)
 
         monkeypatch.setattr(multi, "refill", cold)
         alloc_cache_clear()
