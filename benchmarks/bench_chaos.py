@@ -34,6 +34,10 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_service import _rel_err  # noqa: E402 — sibling bench module
+
 from repro.chaos import SCENARIO_PRESETS, run_scenario, strip_wall
 from repro.service import tariff_by_name
 from repro.testbeds.specs import testbed_by_name
@@ -44,10 +48,6 @@ POLICIES = ("run-now", "price-threshold")
 #: path's contract is bit-equal *times* and float-accumulation-order
 #: equality on energy/cost, so 1e-9 is generous.
 REL_ERR_BUDGET = 1e-9
-
-
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(b), 1e-12)
 
 
 def _cell_dict(result) -> dict:

@@ -46,6 +46,10 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_service import _rel_err  # noqa: E402 — sibling bench module
+
 from repro.chaos import strip_wall
 from repro.service import (
     ServiceSimulator,
@@ -102,10 +106,6 @@ CACHE_HIT_RATE_GATE = 0.9
 TENK_JOBS = 10000
 
 
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(b), 1e-12)
-
-
 def _bench_allocator(flows: int) -> dict:
     """Time water-fills of ``flows`` full-rate demands on a k=4
     fat-tree (placements fixed by ecmp round-robin), three ways: cold
@@ -121,7 +121,7 @@ def _bench_allocator(flows: int) -> dict:
     ]
     repeats = max(3, 2048 // flows)
 
-    # cold: the pre-cache from-scratch rate (vector path auto-dispatch)
+    # cold: the pre-cache from-scratch solve
     result = allocate(topology, demands, cache=False)  # warm-up
     start = time.perf_counter()
     for _ in range(repeats):
