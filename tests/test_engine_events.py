@@ -1,6 +1,8 @@
 """Structured engine event log."""
 
 
+import pytest
+
 from repro import units
 from repro.datasets.files import FileInfo
 from repro.netsim.disk import ParallelDisk
@@ -45,8 +47,9 @@ class TestEventLog:
         engine.set_chunk_channels("c", 1)
         assert kinds(engine).count("channel_closed") == 1
 
-    def test_file_and_chunk_completion_events(self):
-        engine = build_engine()
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "grid"])
+    def test_file_and_chunk_completion_events(self, fast_path):
+        engine = build_engine(fast_path=fast_path)
         engine.add_chunk(plan(n=4, cc=2))
         engine.run()
         file_events = [e for e in engine.events if e.kind == "file_completed"]
