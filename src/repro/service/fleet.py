@@ -236,6 +236,42 @@ class RoutingResult:
     stolen_out: tuple[int, ...]
 
 
+def _check_routing(
+    routing: str,
+    steal_threshold: Optional[float],
+    shards: Sequence[ShardSpec],
+    fabric: Optional[Topology],
+) -> None:
+    """Reject an unknown ``routing``, a ``steal_threshold`` below 1,
+    duplicate shard names and — under ``topology-aware`` routing, whose
+    ``fabric`` the caller has ensured — shards with missing or unknown
+    fabric bottlenecks."""
+    if routing not in ROUTING_POLICIES:
+        raise ValueError(
+            f"unknown routing {routing!r}; known: {', '.join(ROUTING_POLICIES)}"
+        )
+    if steal_threshold is not None and steal_threshold < 1.0:
+        raise ValueError("steal_threshold must be >= 1.0 (or None to disable)")
+    names = [spec.name for spec in shards]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate shard names: {sorted(names)}")
+    if routing == "topology-aware":
+        assert fabric is not None
+        known = set(fabric.bottlenecks)
+        for spec in shards:
+            if not spec.bottlenecks:
+                raise ValueError(
+                    f"shard {spec.name!r} declares no fabric bottlenecks "
+                    "(required for topology-aware routing)"
+                )
+            unknown = [h for h in spec.bottlenecks if h not in known]
+            if unknown:
+                raise ValueError(
+                    f"shard {spec.name!r} references unknown fabric "
+                    f"bottleneck(s): {unknown}"
+                )
+
+
 def route_requests(
     requests: Sequence[TransferRequest],
     shards: Sequence[ShardSpec],
@@ -266,36 +302,14 @@ def route_requests(
     ``(bottleneck_load + request bytes) / capacity`` pressure, ties to
     the lowest shard index.
     """
-    if routing not in ROUTING_POLICIES:
-        raise ValueError(
-            f"unknown routing {routing!r}; known: {', '.join(ROUTING_POLICIES)}"
-        )
-    if steal_threshold is not None and steal_threshold < 1.0:
-        raise ValueError("steal_threshold must be >= 1.0 (or None to disable)")
     if not shards:
         raise ValueError("at least one shard is required")
-    names = [spec.name for spec in shards]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate shard names: {sorted(names)}")
-    if routing == "topology-aware":
-        if topology is None:
-            raise ValueError(
-                "topology-aware routing requires the fleet fabric "
-                "(pass topology=...)"
-            )
-        known = set(topology.bottlenecks)
-        for spec in shards:
-            if not spec.bottlenecks:
-                raise ValueError(
-                    f"shard {spec.name!r} declares no fabric bottlenecks "
-                    "(required for topology-aware routing)"
-                )
-            unknown = [h for h in spec.bottlenecks if h not in known]
-            if unknown:
-                raise ValueError(
-                    f"shard {spec.name!r} references unknown fabric "
-                    f"bottleneck(s): {unknown}"
-                )
+    if routing == "topology-aware" and topology is None:
+        raise ValueError(
+            "topology-aware routing requires the fleet fabric "
+            "(pass topology=...)"
+        )
+    _check_routing(routing, steal_threshold, shards, topology)
     n = len(shards)
     prev_alloc: Optional[AllocationResult] = None
     weights = np.array([spec.weight for spec in shards], dtype=np.float64)
@@ -835,18 +849,6 @@ class FleetSimulator:
             self.shards = [
                 ShardSpec(name=f"s{i}", testbed=testbed) for i in range(shards)
             ]
-        names = [spec.name for spec in self.shards]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate shard names: {sorted(names)}")
-        if routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing {routing!r}; known: "
-                f"{', '.join(ROUTING_POLICIES)}"
-            )
-        if steal_threshold is not None and steal_threshold < 1.0:
-            raise ValueError(
-                "steal_threshold must be >= 1.0 (or None to disable)"
-            )
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.policy = policy
@@ -889,22 +891,7 @@ class FleetSimulator:
                 self.topology,
                 bandwidth=self.shards[0].testbed.path.bandwidth,
             )
-            known = set(self._fabric.bottlenecks)
-            for spec in self.shards:
-                if not spec.bottlenecks:
-                    raise ValueError(
-                        f"shard {spec.name!r} declares no fabric "
-                        "bottlenecks (required for topology-aware "
-                        "routing)"
-                    )
-                unknown = [
-                    h for h in spec.bottlenecks if h not in known
-                ]
-                if unknown:
-                    raise ValueError(
-                        f"shard {spec.name!r} references unknown fabric "
-                        f"bottleneck(s): {unknown}"
-                    )
+        _check_routing(routing, steal_threshold, self.shards, self._fabric)
 
     # ------------------------------------------------------------------
 
