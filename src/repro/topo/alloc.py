@@ -209,6 +209,37 @@ def _cache_key(
     return (flow_key, cap_key, max_rounds)
 
 
+def _memo_lookup(
+    cache: Optional[bool],
+    topology: "Topology",
+    flows: Sequence[FlowDemand],
+    max_rounds: int,
+) -> tuple[Optional[tuple], Optional[AllocationResult]]:
+    """``(memo key or None when caching is off, memoized result or None)``,
+    counting the hit or miss; ``cache`` overrides the module default."""
+    global _cache_hits, _cache_misses
+    if not (_cache_enabled if cache is None else cache):
+        return None, None
+    key = _cache_key(topology, flows, max_rounds)
+    hit = _CACHE.get(key)
+    if hit is None:
+        _cache_misses += 1
+    else:
+        _cache_hits += 1
+        _CACHE.move_to_end(key)
+    return key, hit
+
+
+def _memo_store(key: Optional[tuple], result: AllocationResult) -> AllocationResult:
+    """Memoize ``result`` under a non-None ``key`` (LRU-evicting beyond
+    ``_CACHE_MAX``) and return it."""
+    if key is not None:
+        _CACHE[key] = result
+        while len(_CACHE) > _CACHE_MAX:
+            _CACHE.popitem(last=False)
+    return result
+
+
 def _validate_unique(flows: Sequence[FlowDemand]) -> None:
     seen: set[str] = set()
     for flow in flows:
@@ -423,27 +454,15 @@ def allocate(
     a hit on the canonical exact-value signature returns the memoized
     :class:`AllocationResult` — bit-identical by construction.
     """
-    global _cache_hits, _cache_misses
     if not flows:
         return AllocationResult(
             rates={}, demands={}, binding={}, bottleneck_load={}, rounds=0
         )
     _validate_unique(flows)
-    use_cache = _cache_enabled if cache is None else cache
-    if use_cache:
-        key = _cache_key(topology, flows, max_rounds)
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _cache_hits += 1
-            _CACHE.move_to_end(key)
-            return hit
-        _cache_misses += 1
-    result = _allocate_fresh(topology, flows, max_rounds)
-    if use_cache:
-        _CACHE[key] = result
-        while len(_CACHE) > _CACHE_MAX:
-            _CACHE.popitem(last=False)
-    return result
+    key, hit = _memo_lookup(cache, topology, flows, max_rounds)
+    if hit is not None:
+        return hit
+    return _memo_store(key, _allocate_fresh(topology, flows, max_rounds))
 
 
 def refill(
@@ -480,17 +499,9 @@ def refill(
             rates={}, demands={}, binding={}, bottleneck_load={}, rounds=0
         )
     _validate_unique(flows)
-    global _cache_hits, _cache_misses
-    use_cache = _cache_enabled if cache is None else cache
-    key: Optional[tuple] = None
-    if use_cache:
-        key = _cache_key(topology, flows, max_rounds)
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _cache_hits += 1
-            _CACHE.move_to_end(key)
-            return hit
-        _cache_misses += 1
+    key, hit = _memo_lookup(cache, topology, flows, max_rounds)
+    if hit is not None:
+        return hit
     changed_names = set(changed) if changed is not None else set()
     for f in flows:
         prior = previous.demands.get(f.flow)
@@ -504,11 +515,7 @@ def refill(
     names = {f.flow for f in flows}
     removed = set(previous.demands) - names
     if not changed_names and not removed:
-        if use_cache and key is not None:
-            _CACHE[key] = previous
-            while len(_CACHE) > _CACHE_MAX:
-                _CACHE.popitem(last=False)
-        return previous
+        return _memo_store(key, previous)
     by_bottleneck: dict[str, list[str]] = {}
     flow_by_name: dict[str, FlowDemand] = {}
     for f in sorted(flows, key=lambda f: f.flow):
@@ -548,12 +555,7 @@ def refill(
     if len(affected_flows) == len(flow_by_name):
         # Everything is reachable from the change: a plain solve (the
         # miss was already counted above; store under the full key).
-        full = _allocate_fresh(topology, flows, max_rounds)
-        if use_cache and key is not None:
-            _CACHE[key] = full
-            while len(_CACHE) > _CACHE_MAX:
-                _CACHE.popitem(last=False)
-        return full
+        return _memo_store(key, _allocate_fresh(topology, flows, max_rounds))
     subset = [flow_by_name[name] for name in sorted(affected_flows)]
     sub = (
         allocate(topology, subset, max_rounds=max_rounds, cache=cache)
@@ -590,7 +592,7 @@ def refill(
             load[hop] = previous.bottleneck_load[hop]
             demand_load[hop] = previous.bottleneck_demand[hop]
             count[hop] = previous.bottleneck_flows[hop]
-    result = AllocationResult(
+    return _memo_store(key, AllocationResult(
         rates=rates,
         demands=demands,
         binding=binding,
@@ -600,9 +602,4 @@ def refill(
         weights=weights,
         bottleneck_demand=demand_load,
         rounds=sub.rounds if sub is not None else 0,
-    )
-    if use_cache and key is not None:
-        _CACHE[key] = result
-        while len(_CACHE) > _CACHE_MAX:
-            _CACHE.popitem(last=False)
-    return result
+    ))
