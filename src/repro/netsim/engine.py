@@ -88,9 +88,14 @@ ACCUM_VECTOR_MIN = 72
 #: per single-channel chunk before it stops looking for a dip.
 _COUNT_WALK_CAP = 512
 
-#: Entries a per-engine memo (allocations, power groups) holds before
-#: it is emptied.
-_MEMO_CAP = 256
+#: Entries an allocation or power-group memo holds before it is
+#: emptied. One pair of tables serves every engine of a
+#: :class:`~repro.netsim.multi.MultiTransferSimulator`. Distinct
+#: allocation keys of one full-size perfbench day: 524 (spray-deferral,
+#: one simulator), 549 over all 15 shards of topo-fleet (at most 181 in
+#: one shard's table) and 47 (chunky-day); power-group keys are fewer
+#: (128 on spray-deferral).
+_MEMO_CAP = 4096
 
 
 def accumulate_times(t0: float, dt: Seconds, k: int) -> np.ndarray:
@@ -308,6 +313,7 @@ class TransferEngine:
         background_traffic: Union[Callable[[float], float], float, None] = None,
         fast_path: bool = True,
         observer=None,
+        _memos: Optional[tuple[dict, dict]] = None,
     ) -> None:
         """``background_traffic`` (optional) maps simulated time to the
         number of competing TCP streams sharing the path (a plain
@@ -333,7 +339,13 @@ class TransferEngine:
         fallback stretches — and metric updates. With ``observer=None``
         (the default) every instrumentation site reduces to one
         ``is not None`` check and the engine allocates nothing extra
-        per step (the zero-cost guarantee DESIGN.md documents)."""
+        per step (the zero-cost guarantee DESIGN.md documents).
+
+        ``_memos`` is the ``(allocation, power-group)`` table pair of the
+        :class:`~repro.netsim.multi.MultiTransferSimulator` that builds
+        this engine; every engine of that simulator shares the same
+        path, end systems and power model, so they share the tables. A
+        standalone engine owns a private pair."""
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
         self.path = path
@@ -374,10 +386,14 @@ class TransferEngine:
         #: Per-chunk channel registry (chunk name -> ordered channels),
         #: kept in sync by open/close/reassign.
         self._by_chunk: dict[str, list[Channel]] = {}
-        #: Memoized rate allocations, keyed on the busy-channel
-        #: signature (see :meth:`_allocate_rates`); invalidated on any
-        #: open/close/reassign/failure.
-        self._alloc_cache: dict = {}
+        #: Memoized rate allocations (see :meth:`_allocate_rates`) and,
+        #: per busy signature, the source- and destination-side
+        #: ``(server, power kernel)`` pairs (see :meth:`_power_groups`).
+        #: Both keys hold everything the entry depends on besides the
+        #: fixed path, end systems and power model, so neither table is
+        #: cleared on a channel change and one simulator's engines
+        #: share them.
+        self._alloc_cache, self._power_memo = ({}, {}) if _memos is None else _memos
         self._spread_counter = 0
         #: Servers currently failed, mapped to their recovery time.
         self._down_servers: dict[tuple[str, int], float] = {}
@@ -404,9 +420,6 @@ class TransferEngine:
         self._kernel_fn: Optional[Callable[[ServerSpec, int, int], PowerKernel]] = (
             getattr(owner, "power_kernel", None)
         )
-        #: Per busy signature (see :meth:`_power_groups`): the source-
-        #: and destination-side ``(server, power kernel)`` pairs.
-        self._power_memo: dict = {}
 
     # ------------------------------------------------------------------
     # setup / channel management
@@ -531,7 +544,6 @@ class TransferEngine:
         )
         self._channels[id(channel)] = channel
         self._by_chunk.setdefault(chunk_name, []).append(channel)
-        self._alloc_cache.clear()
         self._log_event("channel_opened",
                         chunk=chunk_name, src_server=src, dst_server=dst)
         return channel
@@ -544,7 +556,6 @@ class TransferEngine:
         channel.release_to(state.queue)
         del self._channels[id(channel)]
         self._by_chunk[channel.chunk_name].remove(channel)
-        self._alloc_cache.clear()
         self._log_event("channel_closed", chunk=channel.chunk_name)
 
     def channels_for(self, chunk_name: str) -> list[Channel]:
@@ -690,17 +701,16 @@ class TransferEngine:
 
         ``scale`` multiplies the aggregate-goodput term of
         :meth:`_allocate_rates` (per-channel and per-server caps are
-        end-system properties and stay untouched). The allocation memo
-        is invalidated here, and the value is constant between calls,
-        so the event-horizon fast path stays bit-consistent with the
-        fixed stepper — exactly the contract
+        end-system properties and stay untouched). The scale is part of
+        the allocation memo key, and the value is constant between
+        calls, so the event-horizon fast path stays bit-consistent with
+        the fixed stepper — exactly the contract
         :meth:`set_background_streams` follows.
         """
         if scale <= 0:
             raise ValueError(f"link scale must be > 0, got {scale}")
         if scale != self._link_scale:
             self._link_scale = float(scale)
-            self._alloc_cache.clear()
             self._log_event("link_scaled", scale=scale)
 
     @property
@@ -716,11 +726,10 @@ class TransferEngine:
         per round and imposes the flow's network-wide share here: the
         cap clamps the shared link-capacity term of
         :meth:`_allocate_rates` (per-channel and per-server caps are
-        end-system properties and stay untouched). Unlike
-        ``link_scale`` the cap changes round to round, so its value is
-        part of the allocation memo signature rather than a
-        cache-clearing event — two rounds at the same cap and busy set
-        still hit the memo.
+        end-system properties and stay untouched). Like ``link_scale``
+        the cap is part of the allocation memo key, so two rounds at the
+        same cap and busy set still hit the memo although the cap
+        changes round to round.
         """
         if cap is not None and cap < 0:
             raise ValueError(f"capacity cap must be >= 0, got {cap}")
@@ -1286,7 +1295,6 @@ class TransferEngine:
                     )
                     self._by_chunk[channel.chunk_name].remove(channel)
                     self._by_chunk.setdefault(target.plan.name, []).append(channel)
-                    self._alloc_cache.clear()
                     channel.chunk_name = target.plan.name
                     channel.parallelism = max(1, target.plan.params.parallelism)
                     channel.pipelining = max(1, target.plan.params.pipelining)
@@ -1301,12 +1309,14 @@ class TransferEngine:
         capacities: link aggregate goodput (congestion knee), and each
         server's NIC rate and disk aggregate.
 
-        Allocations are memoized on the busy-channel signature — the
-        per-channel (parallelism, src, dst) tuple plus the competing
-        background stream count — because the engine re-solves an
-        unchanged configuration on almost every step of a stable
-        stretch. The cache is invalidated whenever a channel opens,
-        closes, fails or is reassigned.
+        Allocations are memoized on a total key — the per-channel
+        (parallelism, src, dst) tuple, the competing background stream
+        count, the capacity cap and the link scale — because the engine
+        re-solves an unchanged configuration on almost every step of a
+        stable stretch, and each job of a service day re-solves the
+        configurations its predecessors met. Nothing else the result
+        depends on (path, end systems) differs between the engines
+        sharing the table, so it is never cleared on a channel change.
         """
         if not busy:
             return {}
@@ -1315,6 +1325,7 @@ class TransferEngine:
             tuple((c.parallelism, c.src_server, c.dst_server) for c in busy),
             competing,
             self._capacity_cap,
+            self._link_scale,
         )
         cached = self._alloc_cache.get(signature)
         if cached is not None:
@@ -1339,9 +1350,7 @@ class TransferEngine:
             link_capacity = tcp.aggregate_goodput(self.path, total_streams)
         # exact 1.0 sentinel set only by set_link_scale
         if self._link_scale != 1.0:  # repro: noqa[RPL003]
-            # brownout injection; constant between ``set_link_scale``
-            # calls (which clear this memo), so omitting it from the
-            # signature is safe.
+            # brownout injection (part of the memo key)
             link_capacity *= self._link_scale
         if self._capacity_cap is not None and self._capacity_cap < link_capacity:
             # topology water-fill share: the flow's network-wide cap
@@ -1440,12 +1449,6 @@ class TransferEngine:
             ce["disk"] = e_disk
             ce["nic"] = e_nic
         return power
-
-    def release_memos(self) -> None:
-        """Drop the allocation and power memo tables (a finished
-        engine no longer steps; the tables refill if it does)."""
-        self._alloc_cache.clear()
-        self._power_memo.clear()
 
     def server_utilizations(self) -> dict[str, Utilization]:
         """Current utilization per active server (for inspection/tests)."""

@@ -124,6 +124,11 @@ class MultiTransferSimulator:
         self.observer = observer
         #: Eq. 1 model shared by every job's engine (it is frozen).
         self._power_model = FineGrainedPowerModel(testbed.coefficients)
+        #: The allocation and power-group memo tables every job's
+        #: engine reads and fills: the engines share the path, end
+        #: systems and power model, so a configuration one job solved
+        #: is a hit for every later one (see ``_allocate_rates``).
+        self._memos: tuple[dict, dict] = ({}, {})
         #: Optional shared network: a spec string (``"leaf-spine:s=2,l=4"``)
         #: is built against the testbed path's bandwidth; a
         #: :class:`~repro.topo.core.Topology` is used as-is. With a
@@ -209,6 +214,7 @@ class MultiTransferSimulator:
             dt=self.dt,
             binding=self.binding,
             work_stealing=True,
+            _memos=self._memos,
         )
         record = JobRecord(
             name=name,
@@ -548,8 +554,8 @@ class MultiTransferSimulator:
         """Scale the path's aggregate goodput for every job (brownout).
 
         Applies to all submitted engines — running or still queued —
-        and to engines submitted later. Each engine invalidates its
-        allocation memo on the change.
+        and to engines submitted later. The scale is part of the shared
+        allocation memo's key, so the memo needs no invalidation.
         """
         if scale <= 0:
             raise ValueError(f"link scale must be > 0, got {scale}")
@@ -708,7 +714,6 @@ class MultiTransferSimulator:
             record.energy_joules += engine.total_energy - before_energy
             if engine.finished and not record.finished:
                 record.completion_time = self.time + self.dt
-                engine.release_memos()
                 self._release_flow(record)
         self.time += self.dt
 
@@ -832,7 +837,6 @@ class MultiTransferSimulator:
                 if engine.finished and not record.finished:
                     record.completion_time = self.time
                     engine.flush_fallback_events()
-                    engine.release_memos()
                     self._release_flow(record)
                     completed.append(record)
             if completed:

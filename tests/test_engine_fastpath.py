@@ -208,19 +208,6 @@ class TestFastPathMechanics:
         with pytest.raises(ValueError):
             PiecewiseTraffic(points=((0.0, -1.0),))
 
-    def test_allocation_cache_invalidated_on_channel_change(self, make_small_engine):
-        engine = make_small_engine()
-        files = tuple(FileInfo(f"f{i}", 50 * units.MB) for i in range(8))
-        engine.add_chunk(ChunkPlan("c", files, TransferParams(concurrency=2)))
-        engine.step()
-        assert engine._alloc_cache
-        engine.open_channel("c")
-        assert not engine._alloc_cache
-        engine.step()
-        assert engine._alloc_cache
-        engine.close_channel(engine.channels[-1])
-        assert not engine._alloc_cache
-
     def test_server_recovery_bounds_macro_step(self, make_small_engine):
         fast, fixed = paired_engines(make_small_engine)
         for engine in (fast, fixed):

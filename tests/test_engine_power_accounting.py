@@ -214,18 +214,3 @@ class TestPowerKernelOracle:
             assert sum(engine.component_energy.values()) == pytest.approx(
                 engine.total_energy, rel=1e-9
             )
-
-    def test_finished_engines_release_memos(self):
-        sim = MultiTransferSimulator(XSEDE, max_concurrent_jobs=2)
-        for i in range(3):
-            sim.submit(f"job{i}", self._plans(f"j{i}-"))
-        finished = []
-        while len(finished) < 3:
-            done = sim.run_until(1e7)
-            assert done
-            finished += done
-        for record, engine in sim._jobs:
-            assert record.finished
-            assert engine.macro_steps + engine.fixed_steps > 0
-            assert not engine._alloc_cache
-            assert not engine._power_memo
