@@ -18,12 +18,16 @@ the time to the next state change — the earliest file completion that
 could change the rate allocation, the next server recovery, the next
 background-traffic change point, or the caller's horizon — and advances
 bytes and energy analytically in one macro-step at the frozen rate
-vector, quantized to the ``dt`` grid. Around events it falls back to
-fixed-``dt`` stepping, so results are numerically equivalent to the
-pure stepper (see DESIGN.md, "Fast path / fixed-dt duality": bytes and
-durations agree to floating-point round-off, energy to <=1e-3 relative
-because power inside a macro-step is integrated at the interval-average
-throughput).
+vector, quantized to the ``dt`` grid. A macro-step runs through the step
+that holds the event: the fixed stepper only re-allocates at the next
+step boundary, and the advance replays completions and pops inside the
+span exactly (an event within 1e-9 s of its step's end is left to the
+next span). Fixed-``dt`` steps remain where the next event falls in the
+very next step, and under opaque background traffic. Results are
+numerically equivalent to the pure stepper (see DESIGN.md, "Fast path /
+fixed-dt duality": bytes and durations agree to floating-point
+round-off, energy to <=1e-3 relative because power inside a macro-step
+is integrated at the interval-average throughput).
 
 Everything is deterministic; the adaptive algorithms of the paper
 (HTEE's probe phase, SLAEE's feedback loop) interact with a running
@@ -830,12 +834,13 @@ class TransferEngine:
         between fast-path iterations: predicates watching
         allocation-changing events — queue drains, channels leaving the
         busy set, failures/recoveries, traffic change points — are
-        honored at the same ``dt`` granularity as fixed stepping
-        (those events bound every macro-step), while predicates on
-        finer-grained state (e.g. per-file counters mid-queue) may
-        overshoot by up to one macro-step. Controllers needing
-        sub-second sampling should call ``run(duration=...)`` with the
-        sampling window instead.
+        honored at the same ``dt`` granularity as fixed stepping (a
+        macro-step ends with the step that holds such an event, which
+        is where the fixed stepper first evaluates the predicate true),
+        while predicates on finer-grained state (e.g. per-file counters
+        mid-queue) may overshoot by up to one macro-step. Controllers
+        needing sub-second sampling should call ``run(duration=...)``
+        with the sampling window instead.
         """
         start = self.time
         observer = self.observer
@@ -873,17 +878,26 @@ class TransferEngine:
     def stable_steps(
         self, busy: list[Channel], rates: dict[int, float], max_steps: int
     ) -> int:
-        """How many whole ``dt`` steps, at most ``max_steps``, can be
-        taken before the next event could change the rate allocation
-        (the event horizon).
+        """How many whole ``dt`` steps, at most ``max_steps``, the frozen
+        allocation stays the one the fixed stepper would use (the event
+        horizon).
 
         Events considered: the earliest possible drain of any non-empty
         chunk queue (a drained chunk idles or re-assigns its channels),
         any file completion on a chunk whose queue is already empty
         (the completing channel leaves the busy set or steals work),
         the next server recovery, the next background-traffic change
-        point, and the caller's ``max_steps``. Returns 0 or 1 when only
-        an exact fixed step is safe.
+        point, and the caller's ``max_steps``.
+
+        The span runs *through* the step that holds the first event.
+        The fixed stepper freezes the busy set and the rates at the
+        start of each step and re-allocates only at the next boundary,
+        so an event inside step ``j`` changes nothing before step
+        ``j + 1``; :meth:`_advance` replays completions, gaps and pops
+        inside the span exactly. An event within 1e-9 s of the end of
+        its step is not taken in: the span then ends one step earlier.
+        With no event before the cap, ``max_steps`` is returned whole.
+        Returns 0 or 1 when only an exact fixed step is safe.
 
         ``max_steps`` is the cap in whole steps, used as given: it is not
         rebuilt from a float horizon ``time + max_steps * dt``, which at
@@ -904,7 +918,7 @@ class TransferEngine:
             t_event = next_change(self.time) - self.time
         for until in self._down_servers.values():
             t_event = min(t_event, until - self.time)
-        cap_time = min(t_event, max_steps * dt)
+        cap_time = min(t_event, (max_steps + 1) * dt)
         for name, state in self.chunks.items():
             chans = self._by_chunk.get(name)
             if not chans:
@@ -919,11 +933,14 @@ class TransferEngine:
                     c.time_to_completion(rates.get(id(c), 0.0)) for c in busy_chans
                 )
             cap_time = min(cap_time, t_chunk)
-            if cap_time < 2 * dt:
+            if cap_time < dt:
                 return 0
         if math.isinf(cap_time):
             return max_steps
-        return min(int((cap_time - 1e-9) // dt), max_steps)
+        k = int((cap_time - 1e-9) // dt)
+        if cap_time < (k + 1) * dt - 1e-9:
+            k += 1  # the event lies safely inside step k + 1: take it in
+        return max(0, min(k, max_steps))
 
     @staticmethod
     def _drain_lower_bound(

@@ -728,8 +728,9 @@ class MultiTransferSimulator:
         step does, then advances all engines ``k`` whole ``dt`` steps
         at once, with ``k`` bounded so that
 
-        * no engine's own event horizon is crossed
-          (:meth:`TransferEngine.stable_steps` — the PR-1 fast path);
+        * no engine's own allocation changes at an interior step
+          boundary (:meth:`TransferEngine.stable_steps`, its event
+          horizon: the span may end with the step holding the event);
         * no *other* engine could have observed this engine's stream
           count change mid-span
           (:meth:`TransferEngine.count_stable_steps`; only checked
@@ -745,8 +746,17 @@ class MultiTransferSimulator:
         method returns at the first completion so the caller can bill
         and re-admit at the completion's grid time, exactly as a
         per-step loop would.
+
+        With an observer attached, every round bumps one counter
+        ``multi.round_bound.<reason>``: ``macro`` for a round of two or
+        more steps; for a single-step round, the bound that cut it to
+        one step — ``horizon`` or ``arrival`` (the round cap),
+        ``refill``, ``own`` (an engine's ``stable_steps``) or ``count``
+        (``count_stable_steps``). The counters sum to
+        ``fixed_rounds + macro_rounds``.
         """
         dt = self.dt
+        observer = self.observer
         completed: list[JobRecord] = []
         while self.time < horizon - 1e-9:
             self._admit_jobs()
@@ -754,6 +764,8 @@ class MultiTransferSimulator:
             if not running:
                 break
             k_cap = max(1, math.ceil((horizon - self.time - 1e-9) / dt))
+            # the bound that set k last: it names a single-step round
+            bound = "horizon"
             if k_cap > 1 and self._unstarted:
                 # Never step past the grid point where a future
                 # arrival becomes admittable. Arrived-but-slot-capped
@@ -765,7 +777,8 @@ class MultiTransferSimulator:
                         k_arr = math.ceil(
                             (record.arrival_time - self.time - 1e-12) / dt
                         )
-                        k_cap = min(k_cap, max(1, k_arr))
+                        if k_arr < k_cap:
+                            k_cap, bound = max(1, k_arr), "arrival"
                         break
             n = len(running)
             engines = [engine for _record, engine in running]
@@ -806,22 +819,24 @@ class MultiTransferSimulator:
                 )
                 if refilled:
                     if n > 1 or capped or self._would_bind(running):
-                        k = 1
+                        k, bound = 1, "refill"
                     # else: a lone uncapped flow whose refilled
                     # (post-assignment) demand still clears every
                     # bottleneck — interior grid steps stay uncapped
                     # too, so the legacy span bounds apply unchanged
             if k > 1:
                 for i, engine in enumerate(engines):
-                    k = min(k, engine.stable_steps(prepared_busy[i], prepared_rates[i], k))
-                    if k < 2:
-                        k = 1
-                        break
-                    if coupled:
-                        k = min(k, engine.count_stable_steps(prepared_rates[i], k))
-                        if k < 2:
-                            k = 1
+                    own = engine.stable_steps(prepared_busy[i], prepared_rates[i], k)
+                    if own < k:
+                        k, bound = max(1, own), "own"
+                        if k == 1:
                             break
+                    if coupled:
+                        count = engine.count_stable_steps(prepared_rates[i], k)
+                        if count < k:
+                            k, bound = count, "count"
+                            if k == 1:
+                                break
             for i, (record, engine) in enumerate(running):
                 before_energy = engine.total_energy
                 engine.advance_prepared(prepared_busy[i], prepared_rates[i], k)
@@ -831,8 +846,11 @@ class MultiTransferSimulator:
             if k > 1:
                 self.macro_rounds += 1
                 self.macro_stepped_dts += k
+                bound = "macro"
             else:
                 self.fixed_rounds += 1
+            if observer is not None:
+                observer.count(f"multi.round_bound.{bound}")
             for record, engine in running:
                 if engine.finished and not record.finished:
                     record.completion_time = self.time

@@ -181,16 +181,16 @@ class TestFastPathMechanics:
     @pytest.mark.parametrize("clock", [0.0, 1e5], ids=["t0", "t1e5"])
     def test_stable_steps_cap_is_independent_of_the_clock(self, make_small_engine, clock):
         # Only the step cap binds (one file far too large to finish), so
-        # the answer is the cap's, whatever the clock reads. At t=1e5 s a
-        # float horizon ``time + max_steps*dt`` would round up past the
-        # cap; the cap is taken in whole steps, so it cannot.
+        # the answer is the cap, whole, whatever the clock reads. At
+        # t=1e5 s a float horizon ``time + max_steps*dt`` would round up
+        # past the cap; the cap is taken in whole steps, so it cannot.
         engine = make_small_engine()
         files = (FileInfo("huge", 100 * units.GB),)
         engine.add_chunk(ChunkPlan("c", files, TransferParams(concurrency=1)))
         engine.time = clock
         busy, rates = engine.prepare_step()
         caps = [engine.stable_steps(busy, rates, m) for m in (0, 1, 3, 6, 50)]
-        assert caps == [0, 1, 2, 5, 49]
+        assert caps == [0, 1, 3, 6, 50]
 
     def test_piecewise_traffic_profile(self):
         profile = PiecewiseTraffic(points=((0.0, 0.0), (5.0, 4.0), (9.0, 1.0)))
@@ -219,6 +219,60 @@ class TestFastPathMechanics:
         assert_equivalent(fast, fixed)
         # the recovery actually happened in both
         assert not fast.down_servers and not fixed.down_servers
+
+
+class TestEventStepInSpan:
+    """A span runs through the step that holds its first event: the
+    fixed stepper only re-allocates at the next step boundary. The
+    events are placed exactly by setting the lone channel's pending
+    control gap after the first allocation (dt = 0.1 s)."""
+
+    CASES = {
+        # case: (file size, completion time, recovery time, expected span)
+        "completion-inside-step-5": (10 * units.MB, 0.45, None, 5),
+        "completion-1e-9-before-step-5-ends": (10 * units.MB, 0.5 - 5e-10, None, 4),
+        "recovery-inside-step-5": (100 * units.MB, None, 0.45, 5),
+        "zero-size-file": (0, 0.0, None, 0),
+    }
+
+    @staticmethod
+    def _engine(make_small_engine, case, *, fast_path=True):
+        size, completes_at, recovers_at, _expected = TestEventStepInSpan.CASES[case]
+        engine = make_small_engine(fast_path=fast_path)
+        files = (FileInfo("f", size),)
+        engine.add_chunk(ChunkPlan("c", files, TransferParams(concurrency=1)))
+        if recovers_at is not None:
+            engine.mark_server_down("dst", 1, until=recovers_at)
+        busy, rates = engine.prepare_step()
+        if completes_at is not None:
+            (channel,) = busy
+            rate = rates[id(channel)]
+            channel.gap_remaining = completes_at - channel.current.remaining / rate
+            assert channel.gap_remaining >= 0.0
+        return engine, busy, rates
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_stable_steps_takes_the_event_step(self, make_small_engine, case):
+        engine, busy, rates = self._engine(make_small_engine, case)
+        spans = [engine.stable_steps(busy, rates, m) for m in (0, 1, 2, 50)]
+        assert min(spans) >= 0
+        assert spans[-1] == self.CASES[case][-1]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fast_run_matches_grid(self, make_small_engine, case):
+        fast, _, _ = self._engine(make_small_engine, case, fast_path=True)
+        fixed, _, _ = self._engine(make_small_engine, case, fast_path=False)
+        fast.run()
+        fixed.run()
+        assert fast.finished and fixed.finished
+        assert fast.time == fixed.time  # bit-equal completion time
+        assert fast.total_files == fixed.total_files == 1
+        assert fast.total_energy == pytest.approx(fixed.total_energy, rel=1e-9)
+        assert not fast.down_servers and not fixed.down_servers
+        if case == "completion-inside-step-5":
+            # one macro-step of five, no trailing fixed step
+            assert (fast.macro_steps, fast.fixed_steps) == (1, 0)
+            assert fast.time == pytest.approx(0.5)
 
 
 class TestObserverAccounting:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.service.simulate
 from repro import units
 from repro.core.baselines import ProMCAlgorithm
 from repro.core.mine import MinEAlgorithm
@@ -12,8 +13,11 @@ from repro.netsim.engine import ChunkPlan
 from repro.netsim.multi import MultiTransferSimulator, TransferTimeout
 from repro.netsim.link import NetworkPath
 from repro.netsim.params import TransferParams
+from repro.obs import Observer
 from repro.power.coefficients import CoefficientSet
+from repro.service.policies import plan_cache_clear
 from repro.testbeds.specs import Testbed as TestbedSpec
+from tests.test_engine_memo import _chunky_day
 
 
 @pytest.fixture
@@ -366,6 +370,38 @@ class TestRunUntil:
         total = sim.macro_stepped_dts + sim.fixed_rounds
         assert total == pytest.approx(sim.time / sim.dt, abs=1.0)
 
+    def test_arrival_capped_round_has_no_trailing_step(self, shared_testbed):
+        """A lone long job with a second arrival ten steps out reaches
+        the arrival's admission grid point in one macro round (no
+        single-step round before it) and admits it at the grid's time."""
+        horizon = 1.05  # one step past the admission point (t = 1.0)
+        sims = {}
+        for fast in (True, False):
+            observer = Observer()
+            sim = MultiTransferSimulator(shared_testbed, observer=observer)
+            sim.submit("long", plan("long", n_files=1, size=2 * units.GB, cc=1))
+            sim.submit("late", plan("late", n_files=2, size=20 * units.MB),
+                       arrival_time=0.95)
+            if fast:
+                assert sim.run_until(horizon) == []
+            else:
+                while sim.time < horizon - 1e-9:
+                    sim.step()
+            sims[fast] = sim
+        fast, grid = sims[True], sims[False]
+        late = fast.records()[1]
+        assert late.start_time == grid.records()[1].start_time  # bit-equal
+        assert late.start_time == pytest.approx(10 * fast.dt)
+        assert fast.time == grid.time
+        # a 10-step macro round to the admission point, then the one
+        # step the horizon leaves
+        assert (fast.macro_rounds, fast.macro_stepped_dts, fast.fixed_rounds) == (1, 10, 1)
+        counters = fast.observer.metrics.snapshot()["counters"]
+        bounds = {k: v for k, v in counters.items() if k.startswith("multi.round_bound.")}
+        assert bounds == {"multi.round_bound.macro": 1, "multi.round_bound.horizon": 1}
+        for rf, rg in zip(fast.records(), grid.records(), strict=True):
+            assert rf.energy_joules == pytest.approx(rg.energy_joules, rel=1e-9)
+
     @staticmethod
     def _peak_concurrency(records) -> int:
         """Most jobs running at once over ``[start, completion)``."""
@@ -407,6 +443,49 @@ class TestRunUntil:
             assert rf.energy_joules == pytest.approx(
                 rg.energy_joules, rel=1e-9
             )
+
+
+class TestRoundBoundCounters:
+    """With an observer attached, ``run_until`` names the bound that
+    ended every round in ``multi.round_bound.<reason>``."""
+
+    REASONS = {"arrival", "horizon", "refill", "own", "count", "macro"}
+
+    @staticmethod
+    def _chunky_day(monkeypatch, observer):
+        """A reduced chunky-archive day; returns its report and the
+        simulator it ran on."""
+        built = []
+
+        class Recording(MultiTransferSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.service.simulate, "MultiTransferSimulator", Recording)
+        service, requests = _chunky_day(100, seed=1)
+        service.observer = observer
+        plan_cache_clear()
+        return service.run(requests), built[-1]
+
+    def test_counters_sum_to_rounds(self, monkeypatch):
+        observer = Observer()
+        _report, sim = self._chunky_day(monkeypatch, observer)
+        counters = observer.metrics.snapshot()["counters"]
+        bounds = {
+            name.rpartition(".")[2]: value
+            for name, value in counters.items()
+            if name.startswith("multi.round_bound.")
+        }
+        assert set(bounds) <= self.REASONS
+        assert {"macro", "own", "refill"} <= set(bounds)
+        assert sum(bounds.values()) == sim.fixed_rounds + sim.macro_rounds
+        assert bounds["macro"] == sim.macro_rounds
+
+    def test_observer_leaves_the_day_unchanged(self, monkeypatch):
+        observed, _ = self._chunky_day(monkeypatch, Observer())
+        plain, _ = self._chunky_day(monkeypatch, None)
+        assert repr(observed) == repr(plain)
 
 
 class TestAccumulateTimes:
