@@ -760,6 +760,49 @@ class TransferEngine:
             self._capacity_cap = saved
         return sum(rates.values())
 
+    def demand_floor(self, busy: Sequence[Channel]) -> float:
+        """A lower bound on the uncapped demand (:meth:`demand_rate`) of
+        every non-empty subset of ``busy``, at the current background
+        streams and link scale (``inf`` for an empty ``busy``).
+
+        The max-min fill freezes every channel at its own cap or inside
+        a saturated shared group, so a subset carries at least the
+        smallest of: any channel's cap, the link share at any stream
+        count a subset can have, and each server's NIC/disk capacity at
+        any count of its channels a subset can hold. Every count is
+        scanned, not just the whole set's, since demand is not monotone
+        in the busy set: past the congestion knee, or on a contended
+        disk, a smaller subset meets a higher term; against competing
+        streams, or on a striped disk, a lower one.
+        ``MultiTransferSimulator.run_until`` uses it to prove a lone
+        flow's topology cap holds while its channels dip.
+        """
+        if not busy:
+            return math.inf
+        competing = self._competing_streams()
+        parallelisms = [c.parallelism for c in busy]
+        floor = min(self._channel_cap(p) for p in set(parallelisms))
+        sums = {0}
+        for p in parallelisms:
+            sums |= {s + p for s in sums}
+        sums.discard(0)
+        for streams in sums:
+            floor = min(floor, self._link_capacity(streams, competing))
+        for spec, attr in (
+            (self.source.server, "src_server"),
+            (self.destination.server, "dst_server"),
+        ):
+            # every server of a side shares its spec: scan up to the
+            # most channels any one of them holds
+            per_server: dict[int, int] = {}
+            for c in busy:
+                index = getattr(c, attr)
+                per_server[index] = per_server.get(index, 0) + 1
+            floor = min(floor, spec.nic_rate)
+            for j in range(1, max(per_server.values()) + 1):
+                floor = min(floor, spec.disk.aggregate_capacity(j))
+        return floor
+
     @property
     def down_servers(self) -> dict[tuple[str, int], Seconds]:
         """Currently failed servers and their recovery times (seconds)."""
@@ -1351,24 +1394,10 @@ class TransferEngine:
         src_spec = self.source.server
         dst_spec = self.destination.server
 
-        caps: dict[int, float] = {}
-        for c in busy:
-            caps[id(c)] = min(
-                tcp.channel_network_cap(self.path, c.parallelism),
-                src_spec.per_channel_rate,
-                dst_spec.per_channel_rate,
-            )
-
-        total_streams = sum(c.parallelism for c in busy)
-        if competing > 0.0:
-            shared = tcp.aggregate_goodput(self.path, total_streams + competing)
-            link_capacity = shared * total_streams / (total_streams + competing)
-        else:
-            link_capacity = tcp.aggregate_goodput(self.path, total_streams)
-        # exact 1.0 sentinel set only by set_link_scale
-        if self._link_scale != 1.0:  # repro: noqa[RPL003]
-            # brownout injection (part of the memo key)
-            link_capacity *= self._link_scale
+        caps = {id(c): self._channel_cap(c.parallelism) for c in busy}
+        link_capacity = self._link_capacity(
+            sum(c.parallelism for c in busy), competing
+        )
         if self._capacity_cap is not None and self._capacity_cap < link_capacity:
             # topology water-fill share: the flow's network-wide cap
             link_capacity = self._capacity_cap
@@ -1394,6 +1423,31 @@ class TransferEngine:
             self._alloc_cache.clear()
         self._alloc_cache[signature] = tuple(rates[id(c)] for c in busy)
         return rates
+
+    def _channel_cap(self, parallelism: int) -> float:
+        """One channel's own rate cap: buffer-limited TCP over its
+        ``parallelism`` streams and host per-stream processing on both
+        endpoints."""
+        return min(
+            tcp.channel_network_cap(self.path, parallelism),
+            self.source.server.per_channel_rate,
+            self.destination.server.per_channel_rate,
+        )
+
+    def _link_capacity(self, streams: int, competing: float) -> float:
+        """The flow's share of the link's aggregate goodput with
+        ``streams`` streams of its own against ``competing`` others,
+        brownout applied (the topology cap is not)."""
+        if competing > 0.0:
+            shared = tcp.aggregate_goodput(self.path, streams + competing)
+            capacity = shared * streams / (streams + competing)
+        else:
+            capacity = tcp.aggregate_goodput(self.path, streams)
+        # exact 1.0 sentinel set only by set_link_scale
+        if self._link_scale != 1.0:  # repro: noqa[RPL003]
+            # brownout injection (part of the memo key)
+            capacity *= self._link_scale
+        return capacity
 
     def _generic_kernel(self, spec: ServerSpec, channels: int, streams: int) -> PowerKernel:
         """Power kernel for any :data:`PowerFn`: builds the utilization

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from repro.netsim.channel import Channel
 from repro.netsim.engine import (
+    _MEMO_CAP,
     Binding,
     ChunkPlan,
     TransferEngine,
@@ -129,6 +130,8 @@ class MultiTransferSimulator:
         #: systems and power model, so a configuration one job solved
         #: is a hit for every later one (see ``_allocate_rates``).
         self._memos: tuple[dict, dict] = ({}, {})
+        #: Demand floors of lone capped flows (see :meth:`_demand_floor`).
+        self._floors: dict[tuple, float] = {}
         #: Optional shared network: a spec string (``"leaf-spine:s=2,l=4"``)
         #: is built against the testbed path's bandwidth; a
         #: :class:`~repro.topo.core.Topology` is used as-is. With a
@@ -495,6 +498,25 @@ class MultiTransferSimulator:
                         flows=result.bottleneck_flows[hop], rate=load,
                     )
 
+    def _demand_floor(self, engine: TransferEngine, busy: list[Channel]) -> float:
+        """``engine.demand_floor(busy)``, memoized per simulator. Every
+        engine here shares the path and end systems, so the floor is a
+        function of what it reads from ``busy`` (each channel's
+        parallelism and servers), the competing streams and the link
+        scale. A full-size topo-fleet day looks up 120 distinct keys
+        about 5,000 times."""
+        key = (
+            tuple((c.parallelism, c.src_server, c.dst_server) for c in busy),
+            engine.background_traffic,
+            engine.link_scale,
+        )
+        floor = self._floors.get(key)
+        if floor is None:
+            if len(self._floors) >= _MEMO_CAP:
+                self._floors.clear()
+            floor = self._floors[key] = engine.demand_floor(busy)
+        return floor
+
     def _would_bind(
         self, running: list[tuple[JobRecord, TransferEngine]]
     ) -> bool:
@@ -733,11 +755,22 @@ class MultiTransferSimulator:
           horizon: the span may end with the step holding the event);
         * no *other* engine could have observed this engine's stream
           count change mid-span
-          (:meth:`TransferEngine.count_stable_steps`; only checked
-          when two or more jobs run — a lone job sees zero background
-          streams regardless);
+          (:meth:`TransferEngine.count_stable_steps`; checked when two
+          or more jobs run, and for a lone job whose topology cap is
+          not pinned — a lone job sees no competing streams, but its
+          cap follows its own pre-assignment demand);
         * work assignment did not just change a busy parallelism the
-          peers sampled (refill check → single exact step);
+          peers sampled, or the demand a topology cap was computed
+          from (refill check → single exact step);
+        * a lone job whose imposed topology cap is below the
+          :meth:`TransferEngine.demand_floor` of its post-assignment
+          busy set is *pinned*: a lone flow's cap is its path's
+          smallest capacity whatever its demand, so every interior
+          boundary with a channel busy re-imposes the same cap. Such a
+          round skips the refill check and the count bound; it ends
+          instead by the first boundary at which every busy channel
+          could be file-less — after the last of their in-flight files
+          completes — unless ``count_stable_steps`` allows more;
         * no queued arrival becomes admittable mid-span.
 
         Time advances by the same repeated ``+= dt`` additions as the
@@ -796,20 +829,47 @@ class MultiTransferSimulator:
                 prepared_rates.append(rates)
             # With a topology attached, even a lone engine may be
             # coupled: its rate cap is recomputed every round from its
-            # own pre-assignment busy channels. A refill can *raise*
-            # demand (and newly bind a cap at interior grid steps), so
-            # the refill check always applies under a placer; a count
-            # dip can only *lower* demand, so an engine with no cap
-            # imposed stays uncapped across a span and only capped
-            # engines need the count-stability bound. An uncapped
-            # single-link run therefore takes exactly the legacy
-            # bounds — the byte-identity the topo tests pin down.
+            # own pre-assignment busy channels. A count dip does *not*
+            # only lower demand (past the congestion knee, or on a
+            # contended disk, a subset can demand more than the whole
+            # set). A lone *uncapped* flow stays exact for another
+            # reason: the grid re-allocates every step on the
+            # post-assignment set B, where a cap at or above B's demand
+            # does not bind — so it needs no count bound, and no
+            # refill step while its refilled demand would not bind
+            # (``_would_bind``). A lone capped flow is pinned (see the
+            # docstring) when B's demand floor clears the cap; the
+            # 1e-9 margin covers the fill's freeze tolerance. An
+            # uncapped single-link run takes exactly the legacy bounds
+            # — the byte-identity the topo tests pin down.
             capped = self._placer is not None and any(
                 engine.capacity_cap is not None for engine in engines
             )
-            coupled = n > 1 or capped
             k = k_cap
-            if k > 1 and (n > 1 or self._placer is not None):
+            pinned = False
+            if k > 1 and n == 1 and capped:
+                cap = engines[0].capacity_cap
+                pinned = cap is not None and (
+                    self._demand_floor(engines[0], prepared_busy[0]) > cap * (1.0 + 1e-9)
+                )
+            coupled = n > 1 or (capped and not pinned)
+            if pinned:
+                # A channel completes a file before it can dip, so no
+                # interior boundary before the last first-completion
+                # can find every channel file-less. A span with no dip
+                # at all (``count_stable_steps``) is safe as well.
+                rates = prepared_rates[0]
+                t_all = max(
+                    c.time_to_completion(rates.get(id(c), 0.0))
+                    for c in prepared_busy[0]
+                )
+                if t_all < math.inf:
+                    k_all = math.ceil((t_all - 1e-9) / dt)
+                    if k_all < k:
+                        k_all = max(k_all, engines[0].count_stable_steps(rates, k))
+                        if k_all < k:
+                            k, bound = max(1, k_all), "count"
+            elif k > 1 and (n > 1 or self._placer is not None):
                 # Work assignment refilled or re-bound a channel: the
                 # count the peers sample next round already differs
                 # from the frozen one, so only one exact step is safe.

@@ -10,6 +10,7 @@ background traffic — and compare.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -19,9 +20,14 @@ from repro.core.baselines import GucAlgorithm, ProMCAlgorithm, SingleChunkAlgori
 from repro.core.scheduler import engine_options
 from repro.datasets.files import FileInfo
 from repro.harness.runner import dataset_for
+from repro.netsim.disk import ParallelDisk, SingleDisk
+from repro.netsim.endpoint import EndSystem, ServerSpec
 from repro.netsim.engine import ChunkPlan, PiecewiseTraffic, TransferEngine
+from repro.netsim.link import NetworkPath
 from repro.netsim.params import TransferParams
 from repro.obs import Observer
+from repro.power.coefficients import CoefficientSet
+from repro.power.models import FineGrainedPowerModel
 from repro.testbeds.specs import ALL_TESTBEDS, Testbed
 
 #: Documented equivalence tolerances (see DESIGN.md).
@@ -273,6 +279,94 @@ class TestEventStepInSpan:
             # one macro-step of five, no trailing fixed step
             assert (fast.macro_steps, fast.fixed_steps) == (1, 0)
             assert fast.time == pytest.approx(0.5)
+
+
+class TestDemandFloor:
+    """``demand_floor(busy)`` bounds from below the uncapped demand of
+    every non-empty subset of ``busy``, also where demand is not
+    monotone in the busy set: past the congestion knee and on a
+    contended disk a smaller subset demands *more*; with competing
+    streams a smaller subset gets a smaller link share."""
+
+    TESTBEDS = {
+        # 4 channels x 2 streams against a knee at 2 streams
+        "past-knee": (
+            NetworkPath(
+                bandwidth=units.gbps(1), rtt=units.ms(10), tcp_buffer=8 * units.MB,
+                protocol_efficiency=0.95, congestion_knee=2, congestion_slope=0.1,
+            ),
+            ParallelDisk(per_accessor_rate=100 * units.MB, array_rate=800 * units.MB),
+        ),
+        # one spindle whose aggregate falls as 1/sqrt(accessors)
+        "contended-disk": (
+            NetworkPath(
+                bandwidth=units.gbps(10), rtt=units.ms(10), tcp_buffer=8 * units.MB,
+                protocol_efficiency=0.95, congestion_knee=64,
+            ),
+            SingleDisk(peak_rate=100 * units.MB, contention_alpha=0.5),
+        ),
+    }
+
+    @classmethod
+    def _busy_engine(cls, testbed: str, background: float, scale: float):
+        path, disk = cls.TESTBEDS[testbed]
+        server = ServerSpec(
+            name="host", cores=8, tdp_watts=100.0, nic_rate=units.gbps(10),
+            disk=disk, per_channel_rate=200 * units.MB, core_rate=400 * units.MB,
+            per_file_overhead=0.0,
+        )
+        site = EndSystem("site", server, 2)
+        engine = TransferEngine(
+            path, site, site, FineGrainedPowerModel(CoefficientSet()).power, dt=0.1
+        )
+        files = tuple(FileInfo(f"f{i}", 50 * units.MB) for i in range(8))
+        engine.add_chunk(
+            ChunkPlan("c", files, TransferParams(concurrency=4, parallelism=2))
+        )
+        engine.set_background_streams(background)
+        engine.set_link_scale(scale)
+        busy, _rates = engine.prepare_step()
+        assert len(busy) == 4
+        return engine, busy
+
+    @staticmethod
+    def _subset_demands(engine: TransferEngine, busy) -> list[float]:
+        """``demand_rate`` with only each non-empty subset busy (the
+        others' files held aside); the whole set comes last."""
+        held = [c.current for c in busy]
+        demands = []
+        for size in range(1, len(busy) + 1):
+            for subset in itertools.combinations(busy, size):
+                for channel in busy:
+                    if channel not in subset:
+                        channel.current = None
+                demands.append(engine.demand_rate())
+                for channel, current in zip(busy, held):
+                    channel.current = current
+        return demands
+
+    @pytest.mark.parametrize("background,scale", [(0.0, 1.0), (6.0, 0.7)],
+                             ids=["alone", "competing-brownout"])
+    @pytest.mark.parametrize("testbed", list(TESTBEDS))
+    def test_floor_bounds_every_subset(self, testbed, background, scale):
+        engine, busy = self._busy_engine(testbed, background, scale)
+        floor = engine.demand_floor(busy)
+        demands = self._subset_demands(engine, busy)
+        assert len(demands) == 15
+        assert all(demand >= floor * (1.0 - 1e-12) for demand in demands)
+        # here the bound is attained by some subset
+        assert min(demands) == pytest.approx(floor, rel=1e-9)
+        whole = demands[-1]
+        if background == 0.0:
+            # demand is not monotone: a smaller subset out-demands the set
+            assert max(demands) > whole * 1.2
+        elif testbed == "past-knee":
+            # one channel's share of the link is below the whole set's
+            assert floor < whole * 0.9
+
+    def test_empty_busy_set_has_no_floor(self):
+        engine, _busy = self._busy_engine("past-knee", 0.0, 1.0)
+        assert engine.demand_floor([]) == math.inf
 
 
 class TestObserverAccounting:

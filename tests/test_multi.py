@@ -15,7 +15,11 @@ from repro.netsim.link import NetworkPath
 from repro.netsim.params import TransferParams
 from repro.obs import Observer
 from repro.power.coefficients import CoefficientSet
+from repro.service import policy_by_name, tariff_by_name
+from repro.service.fleet import FleetSimulator
 from repro.service.policies import plan_cache_clear
+from repro.service.requests import DEFAULT_TENANTS, bursty_workload
+from repro.testbeds.specs import XSEDE
 from repro.testbeds.specs import Testbed as TestbedSpec
 from tests.test_engine_memo import _chunky_day
 
@@ -445,6 +449,70 @@ class TestRunUntil:
             )
 
 
+class TestLoneCappedFlow:
+    """A lone flow on a leaf-spine topology whose every non-empty busy
+    subset out-demands its cap keeps that cap through dips and refills
+    (``run_until`` pins it): fast and grid must still agree bit for bit.
+    One channel demands 60 MB/s on the shared testbed; a spine share
+    below that pins every busy set, one between 60 MB/s and the whole
+    set's demand must be refused by the floor check."""
+
+    JOBS = 3
+
+    @classmethod
+    def _run(cls, testbed, spine, cc, sizes, *, fast):
+        sim = MultiTransferSimulator(
+            testbed, topology=f"leaf-spine:s=2,l=2,spine={spine}",
+            observer=Observer() if fast else None,
+        )
+        for i in range(cls.JOBS):
+            files = tuple(FileInfo(f"j{i}-{n}", int(size)) for n, size in enumerate(sizes))
+            sim.submit(
+                f"j{i}", [ChunkPlan(f"j{i}", files, TransferParams(concurrency=cc))],
+                arrival_time=100.0 * i,
+            )
+        if fast:
+            TestRunUntil._drive_fast(sim)
+        else:
+            TestRunUntil._drive_grid(sim)
+        return sim
+
+    def _assert_matches_grid(self, testbed, spine, cc, sizes):
+        fast = self._run(testbed, spine, cc, sizes, fast=True)
+        grid = self._run(testbed, spine, cc, sizes, fast=False)
+        records = fast.records()
+        for rf, rg in zip(records, grid.records(), strict=True):
+            assert rf.start_time == rg.start_time          # bit-equal
+            assert rf.completion_time == rg.completion_time
+            assert rf.energy_joules == pytest.approx(rg.energy_joules, rel=1e-9)
+        # widely spaced: every job ran alone
+        assert all(a.completion_time < b.start_time for a, b in zip(records, records[1:]))
+        assert fast.macro_rounds > 0
+        return fast
+
+    EQUAL = (20 * units.MB,) * 12
+    MIXED = tuple((7 + 5 * (i % 4)) * units.MB for i in range(14))
+    #: Many mixed files: single-channel dips inside a span are common.
+    MANY = tuple((5 + 4 * (i % 5)) * units.MB for i in range(48))
+
+    @pytest.mark.parametrize("sizes", [EQUAL, MIXED], ids=["equal", "mixed"])
+    @pytest.mark.parametrize("spine", [0.1, 0.3, 0.45])
+    def test_single_channel_dips_empty_the_busy_set(self, shared_testbed, spine, sizes):
+        self._assert_matches_grid(shared_testbed, spine, 1, sizes)
+
+    @pytest.mark.parametrize("spine", [0.1, 0.3, 0.45])
+    def test_equal_files_dip_together(self, shared_testbed, spine):
+        fast = self._assert_matches_grid(shared_testbed, spine, 3, self.EQUAL)
+        counters = fast.observer.metrics.snapshot()["counters"]
+        # pinned rounds skip the refill bound: what is left are the
+        # rounds after an all-empty boundary lifted the cap
+        assert counters.get("multi.round_bound.refill", 0) < fast.macro_rounds
+
+    @pytest.mark.parametrize("spine", [0.6, 0.7, 0.8, 0.9])
+    def test_cap_between_one_channel_and_the_set_is_not_pinned(self, shared_testbed, spine):
+        self._assert_matches_grid(shared_testbed, spine, 2, self.MANY)
+
+
 class TestRoundBoundCounters:
     """With an observer attached, ``run_until`` names the bound that
     ended every round in ``multi.round_bound.<reason>``."""
@@ -485,6 +553,54 @@ class TestRoundBoundCounters:
     def test_observer_leaves_the_day_unchanged(self, monkeypatch):
         observed, _ = self._chunky_day(monkeypatch, Observer())
         plain, _ = self._chunky_day(monkeypatch, None)
+        assert repr(observed) == repr(plain)
+
+    @staticmethod
+    def _topo_fleet_day(monkeypatch, observer):
+        """A reduced topology-aware fleet day (60 bursty jobs over the
+        15 leaf-pair shards of ``leaf-spine:s=2,l=6,spine=0.4``, one
+        worker); returns the shard reports and every simulator built."""
+        built = []
+
+        class Recording(MultiTransferSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.service.simulate, "MultiTransferSimulator", Recording)
+        jobs = 60
+        day_s = 8640.0 * jobs / 500
+        requests = bursty_workload(
+            jobs, day_s=day_s, seed=1, tenants=DEFAULT_TENANTS, size_scale=0.1
+        )
+        fleet = FleetSimulator(
+            XSEDE, policy=policy_by_name("run-now"),
+            tariff=tariff_by_name("peak-offpeak", period_s=day_s),
+            topology="leaf-spine:s=2,l=6,spine=0.4", routing="topology-aware",
+            workers=1, observer=observer,
+        )
+        plan_cache_clear()
+        report = fleet.run(requests)
+        return [shard.report for shard in report.shards], built
+
+    def test_topology_day_counters_sum_to_rounds(self, monkeypatch):
+        observer = Observer()
+        _reports, sims = self._topo_fleet_day(monkeypatch, observer)
+        assert len(sims) == 15
+        counters = observer.metrics.snapshot()["counters"]
+        bounds = {
+            name.rpartition(".")[2]: value
+            for name, value in counters.items()
+            if name.startswith("multi.round_bound.")
+        }
+        assert set(bounds) <= self.REASONS
+        assert {"macro", "own", "refill", "count"} <= set(bounds)
+        assert sum(bounds.values()) == sum(s.fixed_rounds + s.macro_rounds for s in sims)
+        assert bounds["macro"] == sum(s.macro_rounds for s in sims)
+
+    def test_observer_leaves_the_topology_day_unchanged(self, monkeypatch):
+        observed, _ = self._topo_fleet_day(monkeypatch, Observer())
+        plain, _ = self._topo_fleet_day(monkeypatch, None)
         assert repr(observed) == repr(plain)
 
 
