@@ -20,6 +20,7 @@ FAST_EXAMPLES = {
     "adaptive_sla.py": "SLA held",
     "power_model_calibration.py": "Validation on transfer tools",
     "failure_drill.py": "restart markers",
+    "provider_fleet.py": "Best policy",
 }
 
 

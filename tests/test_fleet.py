@@ -10,6 +10,7 @@ from repro.fleet import (
     TariffModel,
     global_projection_twh,
 )
+from repro.service.tariff import tariff_by_name
 
 
 @pytest.fixture
@@ -94,6 +95,51 @@ class TestFleetModel:
         with pytest.raises(ValueError):
             b.savings_vs(a)
         assert b.savings_vs(b) == 0.0
+
+
+def _project(testbed, tariff, start_hour):
+    """All four policies' reports for ``testbed``'s two-class mix."""
+    jobs = [
+        JobClass("nightly", testbed.dataset_factory, jobs_per_day=2.0,
+                 start_hour=start_hour),
+        JobClass("hourly", testbed.dataset_factory, jobs_per_day=24.0,
+                 sla_level=0.7, start_hour=start_hour),
+    ]
+    model = (
+        TariffModel() if tariff == "flat"
+        else TariffModel.from_trace(tariff_by_name(tariff))
+    )
+    return FleetModel(testbed, jobs, tariff=model, max_channels=4).compare()
+
+
+#: Exact reports of the two-class mix, pinned so that reshaping the
+#: projection code cannot move a single bit of any field.
+GOLDEN_REPORTS = {
+    ("flat", None): [
+        "PolicyReport(policy='promc', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.012104056014274693, annual_kg_co2=0.055981259066020445)",
+        "PolicyReport(policy='htee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.023178375999999997, annual_kg_co2=0.107199989)",
+        "PolicyReport(policy='mine', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.012104056014274693, annual_kg_co2=0.055981259066020445)",
+        "PolicyReport(policy='slaee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.023178375999999997, annual_kg_co2=0.107199989)",
+    ],
+    ("peak-offpeak", 2.0): [
+        "PolicyReport(policy='promc', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.007565035008920536, annual_kg_co2=0.048416224057091416)",
+        "PolicyReport(policy='htee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.014486484999997797, annual_kg_co2=0.09271350399998589)",
+        "PolicyReport(policy='mine', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.007565035008920536, annual_kg_co2=0.048416224057091416)",
+        "PolicyReport(policy='slaee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.014486484999997797, annual_kg_co2=0.09271350399998589)",
+    ],
+    ("peak-offpeak", None): [
+        "PolicyReport(policy='promc', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.015130070017843365, annual_kg_co2=0.05799860173506624)",
+        "PolicyReport(policy='htee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.028972969999999994, annual_kg_co2=0.11106305166666665)",
+        "PolicyReport(policy='mine', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.015130070017843365, annual_kg_co2=0.05799860173506624)",
+        "PolicyReport(policy='slaee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.028972969999999994, annual_kg_co2=0.11106305166666665)",
+    ],
+}
+
+
+@pytest.mark.parametrize("tariff,start_hour", sorted(GOLDEN_REPORTS, key=str))
+def test_reports_are_pinned(small_testbed, tariff, start_hour):
+    reports = _project(small_testbed, tariff, start_hour)
+    assert [repr(r) for r in reports] == GOLDEN_REPORTS[(tariff, start_hour)]
 
 
 class TestGlobalProjection:
