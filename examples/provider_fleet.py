@@ -13,8 +13,14 @@ Run:  python examples/provider_fleet.py
 """
 
 from repro import units
+from repro.analysis.projection import (
+    JobClass,
+    annual_projection,
+    global_projection_twh,
+    render_projection,
+)
 from repro.datasets.generators import log_uniform_dataset
-from repro.fleet import FleetModel, JobClass, TariffModel, global_projection_twh
+from repro.service.tariff import flat_tariff
 from repro.testbeds import XSEDE
 
 
@@ -25,23 +31,23 @@ def hourly_sync():
 
 
 def main() -> None:
-    fleet = FleetModel(
+    reports = annual_projection(
         XSEDE,
         [
             JobClass("bulk-replication", XSEDE.dataset_factory, jobs_per_day=4.0,
                      sla_level=0.9),
             JobClass("hourly-sync", hourly_sync, jobs_per_day=24.0, sla_level=0.7),
         ],
-        tariff=TariffModel(dollars_per_kwh=0.08, kg_co2_per_kwh=0.37),
+        tariff=flat_tariff(price=0.08, carbon=0.37),
         max_channels=12,
     )
 
     print(f"Fleet path : {XSEDE.describe()}")
     print("Daily mix  : 4x 160 GB bulk replications + 24x 20 GB syncs\n")
-    print(fleet.render_comparison())
+    print(render_projection(reports))
 
-    promc = fleet.report("promc")
-    best = min(fleet.compare(), key=lambda r: r.annual_energy_kwh)
+    promc = next(r for r in reports if r.policy == "promc")
+    best = min(reports, key=lambda r: r.annual_energy_kwh)
     saving = best.savings_vs(promc)
     print(
         f"\nBest policy: {best.policy} — saves {100 * saving:.0f}% of fleet "

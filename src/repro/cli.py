@@ -534,39 +534,29 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetModel, JobClass, TariffModel
+    from repro.analysis.projection import JobClass, annual_projection, render_projection
     from repro.service.tariff import TARIFF_PRESETS, tariff_by_name
 
     testbed = _resolve_testbed(args.testbed)
-    if args.tariff != "flat" and args.tariff not in TARIFF_PRESETS:
+    if args.tariff not in TARIFF_PRESETS:
         print(f"unknown tariff {args.tariff!r}; "
               f"known: {', '.join(sorted(TARIFF_PRESETS))}", file=sys.stderr)
         return 2
-    tariff = (
-        TariffModel()
-        if args.tariff == "flat"
-        else TariffModel.from_trace(tariff_by_name(args.tariff))
+    job = JobClass(
+        "paper-dataset",
+        testbed.dataset_factory,
+        jobs_per_day=args.jobs_per_day,
+        sla_level=args.sla,
+        start_hour=args.start_hour,
     )
-    fleet = FleetModel(
-        testbed,
-        [
-            JobClass(
-                "paper-dataset",
-                testbed.dataset_factory,
-                jobs_per_day=args.jobs_per_day,
-                sla_level=args.sla,
-                start_hour=args.start_hour,
-            )
-        ],
-        tariff=tariff,
-    )
+    reports = annual_projection(testbed, [job], tariff=tariff_by_name(args.tariff))
     clock = (
         f", starting {args.start_hour:g}:00 on the {args.tariff} tariff"
         if args.start_hour is not None
         else f" ({args.tariff} tariff)"
     )
     print(f"{args.jobs_per_day:g} jobs/day of {testbed.dataset().describe()}{clock}")
-    print(fleet.render_comparison())
+    print(render_projection(reports))
     return 0
 
 

@@ -49,9 +49,9 @@ decisions, energy/cost/carbon). Wall-clock fields (``wall_s``,
 contract. A single-shard fleet reproduces ``ServiceSimulator``
 (``fast=True``) exactly.
 
-(The sibling :mod:`repro.fleet` is the paper's *annualized projection*
-model — same word, different axis: it extrapolates one link's day to a
-year; this module actually simulates the fleet's day.)
+(:func:`repro.analysis.projection.annual_projection`, behind ``repro
+fleet``, extrapolates one link's measured runs to a year; this module
+simulates the fleet's day.)
 """
 
 from __future__ import annotations

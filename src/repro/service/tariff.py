@@ -8,7 +8,8 @@ a :class:`TariffTrace` is a periodic, piecewise-constant schedule of
 electricity price ($/kWh) and grid carbon intensity (kgCO2/kWh),
 shared by the service layer (per-step cost accounting, deferral
 policies hunting cheap/green windows) and by
-:class:`repro.fleet.TariffModel` (fleet-scale projections).
+:func:`repro.analysis.projection.annual_projection` (provider-scale
+annual projections).
 
 Everything is deterministic and analytic: segment boundaries are
 exposed through :meth:`TariffTrace.next_change` so both the service
@@ -162,8 +163,9 @@ class TariffTrace:
     def _integrate(self, start: float, duration: float, column: int) -> float:
         """Integral of the selected column over ``[start, start +
         duration]`` divided by ``duration`` (the interval-average
-        value). Walks plateau boundaries analytically."""
-        if duration <= 0:
+        value). Walks plateau boundaries analytically; a one-plateau
+        trace returns its value exactly."""
+        if duration <= 0 or len(self.points) == 1:
             return self._segment(start)[column]
         total = 0.0
         t = start
@@ -268,8 +270,9 @@ def _hours(*segments: tuple[float, float, float]) -> tuple[tuple[float, float, f
 def flat_tariff(
     price: float = 0.08, carbon: float = 0.37, *, period_s: float = DAY_S
 ) -> TariffTrace:
-    """A constant price/intensity (the legacy ``TariffModel`` default)
-    repeating every ``period_s`` seconds."""
+    """A constant price/intensity repeating every ``period_s`` seconds;
+    the defaults (0.08 $/kWh, 0.37 kgCO2/kWh, the US grid average) are
+    the annual projection's default tariff."""
     return TariffTrace(name="flat", points=((0.0, price, carbon),), period_s=period_s)
 
 

@@ -17,7 +17,6 @@ PACKAGES = [
     "repro.analysis",
     "repro.core",
     "repro.datasets",
-    "repro.fleet",
     "repro.harness",
     "repro.netenergy",
     "repro.netsim",

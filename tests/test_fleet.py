@@ -1,40 +1,32 @@
-"""Fleet-scale projection model."""
+"""Annual provider-scale projection."""
 
 import pytest
 
-from repro.fleet import (
+from repro.analysis.projection import (
     WORLD_TRANSFER_TWH_PER_YEAR,
-    FleetModel,
     JobClass,
     PolicyReport,
-    TariffModel,
+    annual_projection,
     global_projection_twh,
+    render_projection,
 )
 from repro.service.tariff import tariff_by_name
 
 
 @pytest.fixture
 def fleet(small_testbed):
+    """Reports of ``small_testbed``'s two-class mix under ``policies``."""
     jobs = [
         JobClass("nightly", small_testbed.dataset_factory, jobs_per_day=2.0),
         JobClass("hourly", small_testbed.dataset_factory, jobs_per_day=24.0,
                  sla_level=0.7),
     ]
-    return FleetModel(small_testbed, jobs, max_channels=4)
 
+    def project(*policies):
+        return annual_projection(small_testbed, jobs, max_channels=4,
+                                 policies=policies)
 
-class TestTariffModel:
-    def test_dollars(self):
-        tariff = TariffModel(dollars_per_kwh=0.10)
-        assert tariff.dollars(3.6e6) == pytest.approx(0.10)
-
-    def test_co2(self):
-        tariff = TariffModel(kg_co2_per_kwh=0.5)
-        assert tariff.kg_co2(7.2e6) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TariffModel(dollars_per_kwh=-1)
+    return project
 
 
 class TestJobClass:
@@ -48,44 +40,37 @@ class TestJobClass:
 class TestFleetModel:
     def test_needs_jobs(self, small_testbed):
         with pytest.raises(ValueError):
-            FleetModel(small_testbed, [])
+            annual_projection(small_testbed, [])
 
     def test_report_annualizes(self, fleet):
-        report = fleet.report("promc")
+        [report] = fleet("promc")
         assert report.annual_jobs == pytest.approx((2.0 + 24.0) * 365)
         assert report.annual_energy_kwh > 0
         assert report.annual_cost_dollars > 0
         assert report.annual_transfer_hours > 0
 
     def test_mine_policy_never_meaningfully_worse(self, fleet):
-        promc = fleet.report("promc")
-        mine = fleet.report("mine")
+        promc, mine = fleet("promc", "mine")
         assert mine.savings_vs(promc) > -0.05
 
     def test_htee_policy_produces_sane_report(self, fleet):
         # on a tiny job HTEE's probe phase dominates, so it may cost
         # more than ProMC here — the XSEDE-scale comparison lives in
         # examples/provider_fleet.py and the integration suite
-        report = fleet.report("htee")
+        [report] = fleet("htee")
         assert report.annual_energy_kwh > 0
         assert report.annual_transfer_hours > 0
 
     def test_slaee_uses_job_sla_levels(self, fleet):
-        report = fleet.report("slaee")
+        [report] = fleet("slaee")
         assert report.annual_energy_kwh > 0
 
     def test_unknown_policy(self, fleet):
         with pytest.raises(KeyError):
-            fleet.report("carrier-pigeon")
-
-    def test_runs_are_cached(self, fleet):
-        fleet.report("mine")
-        cached = dict(fleet._run_cache)
-        fleet.report("mine")
-        assert fleet._run_cache == cached
+            fleet("carrier-pigeon")
 
     def test_render_comparison(self, fleet):
-        text = fleet.render_comparison(["promc", "mine"])
+        text = render_projection(fleet("promc", "mine"))
         assert "promc" in text and "mine" in text
         assert "vs ProMC" in text
 
@@ -105,11 +90,8 @@ def _project(testbed, tariff, start_hour):
         JobClass("hourly", testbed.dataset_factory, jobs_per_day=24.0,
                  sla_level=0.7, start_hour=start_hour),
     ]
-    model = (
-        TariffModel() if tariff == "flat"
-        else TariffModel.from_trace(tariff_by_name(tariff))
-    )
-    return FleetModel(testbed, jobs, tariff=model, max_channels=4).compare()
+    return annual_projection(testbed, jobs, tariff=tariff_by_name(tariff),
+                             max_channels=4)
 
 
 #: Exact reports of the two-class mix, pinned so that reshaping the
@@ -140,6 +122,12 @@ GOLDEN_REPORTS = {
 def test_reports_are_pinned(small_testbed, tariff, start_hour):
     reports = _project(small_testbed, tariff, start_hour)
     assert [repr(r) for r in reports] == GOLDEN_REPORTS[(tariff, start_hour)]
+
+
+def test_flat_tariff_ignores_the_clock(small_testbed):
+    # a one-plateau trace bills a 13:30 start exactly like the mean rate
+    reports = _project(small_testbed, "flat", 13.5)
+    assert [repr(r) for r in reports] == GOLDEN_REPORTS[("flat", None)]
 
 
 class TestGlobalProjection:

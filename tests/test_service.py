@@ -104,6 +104,19 @@ class TestTariffTrace:
         with pytest.raises(ValueError):
             trace.cost(-1.0, 0.0)
 
+    def test_flat_cost_is_exact(self):
+        # one plateau: the interval average is the plateau value itself,
+        # not (value * span) / duration rounded twice
+        trace = flat_tariff()
+        joules = 1.23e7
+        for duration in (61.3, 1234.567):
+            assert trace.cost(joules, 7200.0, duration) == (
+                joules / JOULES_PER_KWH * 0.08
+            )
+            assert trace.carbon(joules, 7200.0, duration) == (
+                joules / JOULES_PER_KWH * 0.37
+            )
+
     def test_next_window_at_or_below(self):
         trace = two_plateau()
         assert trace.next_window_at_or_below(0.02, 10.0) == pytest.approx(50.0)
@@ -541,47 +554,21 @@ class TestServiceSimulator:
 
 
 class TestFleetTariffSchedule:
-    def test_flat_model_unchanged(self):
-        from repro.fleet import TariffModel
-
-        tariff = TariffModel(dollars_per_kwh=0.10, kg_co2_per_kwh=0.5)
-        assert tariff.dollars(JOULES_PER_KWH) == pytest.approx(0.10)
-        assert tariff.kg_co2(JOULES_PER_KWH) == pytest.approx(0.5)
-        assert tariff.price_at(12 * 3600.0) == 0.10
-
-    def test_from_trace_prices_by_time(self):
-        from repro.fleet import TariffModel
-
-        model = TariffModel.from_trace(peak_offpeak_tariff())
-        assert model.dollars_per_kwh == pytest.approx(
-            peak_offpeak_tariff().mean_price
-        )
-        night, peak = 2 * 3600.0, 13 * 3600.0
-        assert model.price_at(night) == 0.05
-        assert model.price_at(peak) == 0.16
-        assert model.dollars(JOULES_PER_KWH, start=night) == pytest.approx(0.05)
-        assert model.dollars(JOULES_PER_KWH, start=peak) == pytest.approx(0.16)
-        # no start -> flat mean pricing (backwards-compatible call)
-        assert model.dollars(JOULES_PER_KWH) == pytest.approx(
-            model.dollars_per_kwh
-        )
-        assert model.kg_co2(JOULES_PER_KWH, start=night) == pytest.approx(0.32)
-
     def test_job_class_start_hour(self, small_testbed, small_dataset):
-        from repro.fleet import FleetModel, JobClass, TariffModel
+        from repro.analysis.projection import JobClass, annual_projection
 
         with pytest.raises(ValueError):
             JobClass("bad", lambda: small_dataset, 1.0, start_hour=24.0)
 
-        tariff = TariffModel.from_trace(peak_offpeak_tariff())
-
         def fleet_at(hour):
-            return FleetModel(
+            [report] = annual_projection(
                 small_testbed,
                 [JobClass("job", lambda: small_dataset, 2.0, start_hour=hour)],
-                tariff=tariff,
+                tariff=peak_offpeak_tariff(),
                 max_channels=2,
-            ).report("mine")
+                policies=["mine"],
+            )
+            return report
 
         night, peak = fleet_at(2.0), fleet_at(13.0)
         assert night.annual_energy_kwh == pytest.approx(peak.annual_energy_kwh)
