@@ -30,15 +30,6 @@ from repro.units import Seconds
 __all__ = ["SLO_METRICS", "SLORule", "SLOCheck", "SLOBudget", "SLOVerdict"]
 
 
-def _jobs_total(report: Any) -> int:
-    """Submitted-job count for either report flavor (FleetReport has
-    ``jobs_total``; ServiceReport carries the job list itself)."""
-    total = getattr(report, "jobs_total", None)
-    if total is not None:
-        return int(total)
-    return len(report.jobs)
-
-
 def _miss_rate(report: Any) -> Optional[float]:
     return float(report.deadline_miss_rate)
 
@@ -55,7 +46,7 @@ def _cost_per_gb(report: Any) -> Optional[float]:
 
 
 def _unfinished_rate(report: Any) -> Optional[float]:
-    total = _jobs_total(report)
+    total = len(report.jobs)
     if total == 0:
         return None
     return report.unfinished_jobs / total

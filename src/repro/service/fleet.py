@@ -87,7 +87,10 @@ from repro.service.simulate import (
     JobResult,
     ServiceReport,
     ServiceSimulator,
+    _deadline_miss_rate,
     _fmt_pct,
+    _mean_queue_wait_s,
+    _per_tenant,
     _percentile,
 )
 from repro.service.tariff import JOULES_PER_KWH, TariffTrace
@@ -486,7 +489,9 @@ class FleetReport:
 
     # -- aggregates (computed once) -------------------------------------
 
-    def _jobs(self) -> list[JobResult]:
+    @cached_property
+    def jobs(self) -> list[JobResult]:
+        """Every shard's jobs, in shard order."""
         return [job for shard in self.shards for job in shard.report.jobs]
 
     @cached_property
@@ -516,10 +521,7 @@ class FleetReport:
     @cached_property
     def deadline_miss_rate(self) -> float:
         """Misses over jobs that *have* deadlines, fleet-wide."""
-        with_deadline = [j for j in self._jobs() if j.deadline is not None]
-        if not with_deadline:
-            return 0.0
-        return sum(j.deadline_missed for j in with_deadline) / len(with_deadline)
+        return _deadline_miss_rate(self.jobs)
 
     @cached_property
     def slowdowns(self) -> list[float]:
@@ -539,7 +541,7 @@ class FleetReport:
     def turnarounds(self) -> list[Seconds]:
         """Per-finished-job submit → complete latency (the tenant-visible
         end-to-end latency, for percentiles)."""
-        return [j.turnaround_s for j in self._jobs() if j.finished]
+        return [j.turnaround_s for j in self.jobs if j.finished]
 
     @cached_property
     def p95_turnaround_s(self) -> Optional[Seconds]:
@@ -563,10 +565,7 @@ class FleetReport:
 
     @cached_property
     def mean_queue_wait_s(self) -> Seconds:
-        admitted = [j for j in self._jobs() if j.admitted_at is not None]
-        if not admitted:
-            return 0.0
-        return sum(j.queue_wait_s for j in admitted) / len(admitted)
+        return _mean_queue_wait_s(self.jobs)
 
     @cached_property
     def makespan_s(self) -> Seconds:
@@ -586,35 +585,9 @@ class FleetReport:
 
     @cached_property
     def per_tenant(self) -> dict[str, dict]:
-        """Shard per-tenant rows merged fleet-wide (counters add; queue
-        waits re-average weighted by job count)."""
-        out: dict[str, dict] = {}
-        for shard in self.shards:
-            for tenant, row in shard.report.per_tenant.items():
-                # weight by *admitted* jobs: a shard where this tenant
-                # had nothing admitted contributes no wait mass, so a
-                # zero-admitted tenant divides by 0 jobs nowhere and a
-                # disjoint-tenant merge reproduces each shard's mean.
-                if tenant not in out:
-                    out[tenant] = dict(row)
-                    out[tenant]["_wait_sum"] = (
-                        row["mean_queue_wait_s"] * row["admitted"]
-                    )
-                    continue
-                merged = out[tenant]
-                for key in (
-                    "jobs", "admitted", "bytes", "kwh", "cost_usd",
-                    "kg_co2", "deferred", "deadline_misses",
-                ):
-                    merged[key] += row[key]
-                merged["_wait_sum"] += row["mean_queue_wait_s"] * row["admitted"]
-        for tenant in out:
-            row = out[tenant]
-            wait_sum = row.pop("_wait_sum")
-            row["mean_queue_wait_s"] = (
-                wait_sum / row["admitted"] if row["admitted"] else 0.0
-            )
-        return dict(sorted(out.items()))
+        """Per-tenant rows over every shard's jobs (the same reduction
+        as :attr:`ServiceReport.per_tenant`)."""
+        return _per_tenant(self.jobs)
 
     @cached_property
     def per_shard(self) -> list[dict]:

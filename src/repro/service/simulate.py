@@ -210,6 +210,48 @@ def _fmt_pct(value: Optional[float]) -> str:
     return "n/a" if value is None else f"{value:.2f}"
 
 
+def _deadline_miss_rate(jobs: Sequence[JobResult]) -> float:
+    """Misses over jobs that *have* deadlines (0.0 if none do)."""
+    with_deadline = [j for j in jobs if j.deadline is not None]
+    if not with_deadline:
+        return 0.0
+    return sum(j.deadline_missed for j in with_deadline) / len(with_deadline)
+
+
+def _mean_queue_wait_s(jobs: Sequence[JobResult]) -> Seconds:
+    """Mean submission -> admission wait in seconds, averaged over
+    *admitted* jobs only (0.0 if none was): never-admitted jobs have no
+    wait to report, and counting them as zero would dilute the mean on
+    a truncated day."""
+    admitted = [j for j in jobs if j.admitted_at is not None]
+    if not admitted:
+        return 0.0
+    return sum(j.queue_wait_s for j in admitted) / len(admitted)
+
+
+def _per_tenant(jobs: Sequence[JobResult]) -> dict[str, dict]:
+    """kWh/$/kgCO2/jobs/misses of ``jobs`` broken down by tenant, in
+    tenant order."""
+    groups: dict[str, list[JobResult]] = {}
+    for job in jobs:
+        groups.setdefault(job.tenant, []).append(job)
+    out: dict[str, dict] = {}
+    for tenant in sorted(groups):
+        group = groups[tenant]
+        out[tenant] = {
+            "jobs": len(group),
+            "admitted": sum(1 for j in group if j.admitted_at is not None),
+            "bytes": sum(j.total_bytes for j in group),
+            "kwh": sum(j.energy_j for j in group) / JOULES_PER_KWH,
+            "cost_usd": sum(j.cost_usd for j in group),
+            "kg_co2": sum(j.kg_co2 for j in group),
+            "deferred": sum(1 for j in group if j.deferred),
+            "deadline_misses": sum(1 for j in group if j.deadline_missed),
+            "mean_queue_wait_s": _mean_queue_wait_s(group),
+        }
+    return out
+
+
 @dataclass
 class ServiceReport:
     """Fleet- and tenant-level totals for one service day.
@@ -263,10 +305,7 @@ class ServiceReport:
     @cached_property
     def deadline_miss_rate(self) -> float:
         """Misses over jobs that *have* deadlines (0.0 if none do)."""
-        with_deadline = [j for j in self.jobs if j.deadline is not None]
-        if not with_deadline:
-            return 0.0
-        return sum(j.deadline_missed for j in with_deadline) / len(with_deadline)
+        return _deadline_miss_rate(self.jobs)
 
     @cached_property
     def slowdowns(self) -> list[float]:
@@ -294,43 +333,12 @@ class ServiceReport:
     @cached_property
     def mean_queue_wait_s(self) -> Seconds:
         """Mean submission -> admission wait in seconds."""
-        admitted = [j for j in self.jobs if j.admitted_at is not None]
-        if not admitted:
-            return 0.0
-        return sum(j.queue_wait_s for j in admitted) / len(admitted)
+        return _mean_queue_wait_s(self.jobs)
 
     @cached_property
     def per_tenant(self) -> dict[str, dict]:
         """kWh/$/kgCO2/jobs/misses broken down by tenant."""
-        groups: dict[str, list[JobResult]] = {}
-        for job in self.jobs:
-            groups.setdefault(job.tenant, []).append(job)
-        out: dict[str, dict] = {}
-        for tenant in sorted(groups):
-            jobs = groups[tenant]
-            with_deadline = [j for j in jobs if j.deadline is not None]
-            admitted = [j for j in jobs if j.admitted_at is not None]
-            out[tenant] = {
-                "jobs": len(jobs),
-                "admitted": len(admitted),
-                "bytes": sum(j.total_bytes for j in jobs),
-                "kwh": sum(j.energy_j for j in jobs) / JOULES_PER_KWH,
-                "cost_usd": sum(j.cost_usd for j in jobs),
-                "kg_co2": sum(j.kg_co2 for j in jobs),
-                "deferred": sum(1 for j in jobs if j.deferred),
-                "deadline_misses": sum(
-                    1 for j in with_deadline if j.deadline_missed
-                ),
-                # averaged over *admitted* jobs only: never-admitted
-                # jobs have no wait to report, and counting them as
-                # zero would dilute the mean on a truncated day.
-                "mean_queue_wait_s": (
-                    sum(j.queue_wait_s for j in admitted) / len(admitted)
-                    if admitted
-                    else 0.0
-                ),
-            }
-        return out
+        return _per_tenant(self.jobs)
 
     # -- serialization / rendering --------------------------------------
 

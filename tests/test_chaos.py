@@ -6,7 +6,7 @@ resume)."""
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Optional
 
 import pytest
@@ -427,7 +427,7 @@ class _StubReport:
     total_cost_usd: float = 1.0
     total_bytes: int = 10**9
     unfinished_jobs: int = 0
-    jobs_total: int = 10
+    jobs: list = field(default_factory=lambda: [None] * 10)
     mean_queue_wait_s: float = 1.0
 
 
@@ -451,7 +451,7 @@ class TestSLOOracle:
     @pytest.mark.parametrize("stub,metric", [
         (_StubReport(p95_slowdown=None), "p95_slowdown"),
         (_StubReport(total_bytes=0), "cost_per_gb"),
-        (_StubReport(jobs_total=0), "unfinished_rate"),
+        (_StubReport(jobs=[]), "unfinished_rate"),
     ])
     def test_unmeasurable_metric_is_infinite_burn(self, stub, metric):
         verdict = SLOBudget(

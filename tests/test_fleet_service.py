@@ -242,6 +242,23 @@ class TestSingleShardEquivalence:
         assert fleet.total_kg_co2 == single.total_kg_co2
         assert fleet.makespan_s == single.makespan_s
 
+    def test_job_aggregates_match_the_shard_report(self, small_testbed):
+        """A one-shard fleet's per-tenant rows, miss rate and queue wait
+        are its shard report's, bit for bit."""
+        reqs = [
+            make_request(name=f"j{i}", tenant=f"t{i % 3}", submit=0.1 * i,
+                         deadline=0.1 * i + 4.0, n_files=4 + i % 5, file_mb=20)
+            for i in range(12)
+        ]
+        fleet = small_fleet(small_testbed, shards=1).run(reqs)
+        shard = fleet.shards[0].report
+        assert fleet.per_tenant == shard.per_tenant
+        assert fleet.deadline_miss_rate == shard.deadline_miss_rate
+        assert fleet.mean_queue_wait_s == shard.mean_queue_wait_s
+        # the queue actually formed and some deadlines were missed
+        assert shard.mean_queue_wait_s > 1.0
+        assert 0 < shard.deadline_miss_rate < 1
+
 
 class TestFleetMerge:
     """Merged accounting across >= 3 shards with disjoint tenants."""
