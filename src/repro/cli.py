@@ -542,13 +542,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"unknown tariff {args.tariff!r}; "
               f"known: {', '.join(sorted(TARIFF_PRESETS))}", file=sys.stderr)
         return 2
-    job = JobClass(
-        "paper-dataset",
-        testbed.dataset_factory,
-        jobs_per_day=args.jobs_per_day,
-        sla_level=args.sla,
-        start_hour=args.start_hour,
-    )
+    try:
+        job = JobClass(
+            "paper-dataset",
+            testbed.dataset_factory,
+            jobs_per_day=args.jobs_per_day,
+            sla_level=args.sla,
+            start_hour=args.start_hour,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     reports = annual_projection(testbed, [job], tariff=tariff_by_name(args.tariff))
     clock = (
         f", starting {args.start_hour:g}:00 on the {args.tariff} tariff"

@@ -112,6 +112,17 @@ class TestCommands:
         assert "vs ProMC" in out
         assert "slaee" in out
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--start-hour", "25", "start_hour must be in [0, 24)"),
+        ("--jobs-per-day", "-1", "jobs_per_day must be >= 0"),
+        ("--sla", "1.5", "sla_level must be in (0, 1]"),
+    ])
+    def test_fleet_out_of_range_exits_2(self, flag, value, message, capsys):
+        assert main(["fleet", "-t", "didclab", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
     def test_pareto(self, capsys):
         assert main(["pareto", "-t", "didclab", "-l", "1", "4"]) == 0
         out = capsys.readouterr().out
