@@ -94,15 +94,19 @@ def _project(testbed, tariff, start_hour):
                              max_channels=4)
 
 
+_FLAT_REPORTS = [
+    "PolicyReport(policy='promc', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.012104056014274693, annual_kg_co2=0.055981259066020445)",
+    "PolicyReport(policy='htee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.023178375999999997, annual_kg_co2=0.107199989)",
+    "PolicyReport(policy='mine', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.012104056014274693, annual_kg_co2=0.055981259066020445)",
+    "PolicyReport(policy='slaee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.023178375999999997, annual_kg_co2=0.107199989)",
+]
+
 #: Exact reports of the two-class mix, pinned so that reshaping the
-#: projection code cannot move a single bit of any field.
+#: projection code cannot move a single bit of any field. A one-plateau
+#: tariff bills a clock-anchored class exactly like the mean rate.
 GOLDEN_REPORTS = {
-    ("flat", None): [
-        "PolicyReport(policy='promc', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.012104056014274693, annual_kg_co2=0.055981259066020445)",
-        "PolicyReport(policy='htee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.023178375999999997, annual_kg_co2=0.107199989)",
-        "PolicyReport(policy='mine', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.012104056014274693, annual_kg_co2=0.055981259066020445)",
-        "PolicyReport(policy='slaee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.023178375999999997, annual_kg_co2=0.107199989)",
-    ],
+    ("flat", None): _FLAT_REPORTS,
+    ("flat", 13.5): _FLAT_REPORTS,
     ("peak-offpeak", 2.0): [
         "PolicyReport(policy='promc', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.007565035008920536, annual_kg_co2=0.048416224057091416)",
         "PolicyReport(policy='htee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.014486484999997797, annual_kg_co2=0.09271350399998589)",
@@ -122,12 +126,6 @@ GOLDEN_REPORTS = {
 def test_reports_are_pinned(small_testbed, tariff, start_hour):
     reports = _project(small_testbed, tariff, start_hour)
     assert [repr(r) for r in reports] == GOLDEN_REPORTS[(tariff, start_hour)]
-
-
-def test_flat_tariff_ignores_the_clock(small_testbed):
-    # a one-plateau trace bills a 13:30 start exactly like the mean rate
-    reports = _project(small_testbed, "flat", 13.5)
-    assert [repr(r) for r in reports] == GOLDEN_REPORTS[("flat", None)]
 
 
 class TestGlobalProjection:
