@@ -177,23 +177,16 @@ def run_scenario(
     )
     if max_time is None:
         max_time = 8.0 * day_s
-    if shards <= 1:
-        simulator: Union[ServiceSimulator, FleetSimulator] = ServiceSimulator(
-            testbed, policy=policy, tariff=tariff,
-            max_concurrent_jobs=max_concurrent_jobs,
-            max_channels=max_channels, observer=observer, fast=fast,
-            topology=topology, placement=placement,
-            placement_seed=placement_seed,
-        )
-    else:
-        simulator = FleetSimulator(
-            testbed, policy=policy, tariff=tariff, shards=shards,
-            max_concurrent_jobs=max_concurrent_jobs,
-            max_channels=max_channels, observer=observer, fast=fast,
-            workers=workers,
-            topology=topology, placement=placement,
-            placement_seed=placement_seed,
-        )
+    service: dict[str, Any] = dict(
+        policy=policy, tariff=tariff,
+        max_concurrent_jobs=max_concurrent_jobs, max_channels=max_channels,
+        observer=observer, fast=fast, topology=topology,
+        placement=placement, placement_seed=placement_seed,
+    )
+    simulator: Union[ServiceSimulator, FleetSimulator] = (
+        ServiceSimulator(testbed, **service) if shards <= 1
+        else FleetSimulator(testbed, shards=shards, workers=workers, **service)
+    )
     report = simulator.run(
         requests, max_time=max_time, interventions=script.actions,
         on_timeout="report",

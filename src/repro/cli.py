@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from typing import Optional
 
 from repro.core.scheduler import engine_options
@@ -105,107 +105,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="anchor the daily runs at this hour on the tariff "
                         "clock (0-24); default: mean-rate pricing")
 
-    p = sub.add_parser(
+    service = sub.add_parser(
         "service",
         help="run a day of tenant traffic through the scheduling service",
     )
-    _add_testbed(p)
-    p.add_argument("-w", "--workload", default="diurnal",
-                   help="workload preset: steady | diurnal | bursty "
-                        "(default diurnal)")
-    p.add_argument("-p", "--policy", default="price-threshold",
-                   help="deferral policy: run-now | deadline-edf | "
-                        "price-threshold | carbon-aware (default "
-                        "price-threshold)")
-    p.add_argument("--tariff", default="peak-offpeak",
-                   help="tariff preset: flat | peak-offpeak | green-midday "
-                        "(default peak-offpeak)")
-    p.add_argument("--jobs", type=int, default=24,
-                   help="tenant requests over the day (default 24)")
-    p.add_argument("--day", type=float, default=3600.0,
-                   help="length of the simulated day in seconds; job sizes "
-                        "scale proportionally (default 3600)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="workload seed (default 7)")
-    p.add_argument("--max-concurrent", type=int, default=4,
-                   help="admission concurrency cap (default 4)")
-    p.add_argument("--max-per-tenant", type=int, default=None,
-                   help="per-tenant running-job cap (default: none)")
-    p.add_argument("-c", "--max-channels", type=int, default=4,
-                   help="channel budget per ENERGY/BALANCED job (default 4)")
-    p.add_argument("--events", action="store_true",
-                   help="also print the job lifecycle event stream")
-    p.add_argument("--grid", action="store_true",
-                   help="run the reference dt-grid loop instead of the "
-                        "event-horizon fast path (slow; identical results)")
-    p.add_argument("--dataset-pool", type=int, default=None, metavar="N",
-                   help="pre-draw N datasets per tenant and reuse them "
-                        "across arrivals (exercises plan memoization; "
-                        "default: fresh draw per job)")
-    _add_topology(p)
-    p.add_argument("--json", type=Path, nargs="?", const=Path("-"),
-                   default=None, metavar="PATH",
-                   help="emit the full report as JSON (to PATH, or stdout "
-                        "when no path is given)")
-
-    p = sub.add_parser(
+    fleet = sub.add_parser(
         "fleet-service",
         help="run a day of tenant traffic across a sharded fleet of links",
     )
-    _add_testbed(p)
-    p.add_argument("-w", "--workload", default="diurnal",
-                   help="workload preset: steady | diurnal | bursty "
-                        "(default diurnal)")
-    p.add_argument("-p", "--policy", default="price-threshold",
-                   help="deferral policy: run-now | deadline-edf | "
-                        "price-threshold | carbon-aware (default "
-                        "price-threshold)")
-    p.add_argument("--tariff", default="peak-offpeak",
-                   help="tariff preset: flat | peak-offpeak | green-midday "
-                        "(default peak-offpeak)")
-    p.add_argument("--shards", type=int, default=8,
-                   help="identical-link shards to run (default 8)")
-    p.add_argument("--routing", default="tenant-hash",
-                   help="dispatch heuristic: tenant-hash | least-loaded | "
-                        "weighted | round-robin | topology-aware "
-                        "(needs --topology; shards become leaf/pod "
-                        "pairs) (default tenant-hash)")
-    p.add_argument("--steal-threshold", type=float, default=4.0,
-                   help="work-stealing saturation factor over the fleet's "
-                        "mean relative backlog; 0 disables (default 4.0)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="real process parallelism across shards "
-                        "(default: min(shards, cpu count); 1 = inline)")
-    p.add_argument("--jobs", type=int, default=96,
-                   help="tenant requests over the day (default 96)")
-    p.add_argument("--day", type=float, default=3600.0,
-                   help="length of the simulated day in seconds; job sizes "
-                        "scale proportionally (default 3600)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="workload seed (default 7)")
-    p.add_argument("--max-concurrent", type=int, default=4,
-                   help="per-shard admission concurrency cap (default 4)")
-    p.add_argument("--max-per-tenant", type=int, default=None,
-                   help="per-shard per-tenant running-job cap (default: none)")
-    p.add_argument("-c", "--max-channels", type=int, default=4,
-                   help="channel budget per ENERGY/BALANCED job (default 4)")
-    p.add_argument("--dataset-pool", type=int, default=None, metavar="N",
-                   help="pre-draw N datasets per tenant and reuse them "
-                        "across arrivals (exercises plan memoization; "
-                        "default: fresh draw per job)")
-    p.add_argument("--context", type=Path, default=None, metavar="PATH",
-                   help="warm-start plan context file: loaded before the "
-                        "run if it exists, updated after (GContext-style)")
-    _add_topology(p)
-    p.add_argument("--events", action="store_true",
-                   help="also print the fleet dispatch event stream")
-    p.add_argument("--grid", action="store_true",
-                   help="run every shard on the reference dt-grid loop "
-                        "instead of the fast path (slow; identical results)")
-    p.add_argument("--json", type=Path, nargs="?", const=Path("-"),
-                   default=None, metavar="PATH",
-                   help="emit the fleet report as JSON (to PATH, or stdout "
-                        "when no path is given)")
+    for p, jobs in ((service, 24), (fleet, 96)):
+        _add_testbed(p)
+        _add_day_options(p, workload="diurnal", policy="price-threshold",
+                         jobs=jobs)
+        p.add_argument("--max-per-tenant", type=int, default=None,
+                       help="per-tenant running-job cap, per shard in a "
+                            "fleet (default: none)")
+    fleet.add_argument("--shards", type=int, default=8,
+                       help="identical-link shards to run (default 8)")
+    fleet.add_argument("--routing", default="tenant-hash",
+                       help="dispatch heuristic: tenant-hash | least-loaded | "
+                            "weighted | round-robin | topology-aware "
+                            "(needs --topology; shards become leaf/pod "
+                            "pairs) (default tenant-hash)")
+    fleet.add_argument("--steal-threshold", type=float, default=4.0,
+                       help="work-stealing saturation factor over the fleet's "
+                            "mean relative backlog; 0 disables (default 4.0)")
+    fleet.add_argument("--workers", type=int, default=None,
+                       help="real process parallelism across shards "
+                            "(default: min(shards, cpu count); 1 = inline)")
+    fleet.add_argument("--context", type=Path, default=None, metavar="PATH",
+                       help="warm-start plan context file: loaded before the "
+                            "run if it exists, updated after (GContext-style)")
 
     p = sub.add_parser(
         "chaos",
@@ -213,53 +143,20 @@ def build_parser() -> argparse.ArgumentParser:
              "day against SLO budgets",
     )
     _add_testbed(p)
+    _add_day_options(p, workload="steady", policy="all", jobs=24)
     p.add_argument("-s", "--scenario", default="all",
                    help="scenario preset: brownout | crash-storm | "
                         "tariff-spike | flash-crowd | traffic-surge | "
                         "spine-congestion | all (default all)")
-    p.add_argument("-p", "--policy", default="all",
-                   help="deferral policy: run-now | deadline-edf | "
-                        "price-threshold | carbon-aware | all (default all)")
-    p.add_argument("-w", "--workload", default="steady",
-                   help="base workload preset: steady | diurnal | bursty "
-                        "(default steady)")
-    p.add_argument("--tariff", default="peak-offpeak",
-                   help="tariff preset: flat | peak-offpeak | green-midday "
-                        "(default peak-offpeak)")
-    p.add_argument("--jobs", type=int, default=24,
-                   help="tenant requests over the day (default 24)")
-    p.add_argument("--day", type=float, default=3600.0,
-                   help="length of the simulated day in seconds; job sizes "
-                        "and fault timings scale proportionally "
-                        "(default 3600)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="workload + scenario seed (default 7)")
     p.add_argument("--shards", type=int, default=1,
                    help="run the scenario against a fleet of this many "
                         "shards instead of one service (default 1)")
     p.add_argument("--workers", type=int, default=1,
                    help="real process parallelism across shards "
                         "(default 1 = inline)")
-    p.add_argument("--max-concurrent", type=int, default=4,
-                   help="admission concurrency cap (default 4)")
-    p.add_argument("-c", "--max-channels", type=int, default=4,
-                   help="channel budget per ENERGY/BALANCED job (default 4)")
-    p.add_argument("--dataset-pool", type=int, default=None, metavar="N",
-                   help="pre-draw N datasets per tenant and reuse them "
-                        "across arrivals (default: fresh draw per job)")
-    _add_topology(p)
-    p.add_argument("--grid", action="store_true",
-                   help="run the reference dt-grid loop instead of the "
-                        "event-horizon fast path (slow; identical results)")
-    p.add_argument("--events", action="store_true",
-                   help="also print the fault/SLO event stream")
     p.add_argument("--check", action="store_true",
                    help="determinism self-check: run the pack twice and "
                         "fail unless the reports are byte-identical")
-    p.add_argument("--json", type=Path, nargs="?", const=Path("-"),
-                   default=None, metavar="PATH",
-                   help="emit the pack (reports + SLO verdicts) as JSON "
-                        "(to PATH, or stdout when no path is given)")
 
     p = sub.add_parser(
         "topo",
@@ -350,7 +247,40 @@ def _add_testbed(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_topology(parser: argparse.ArgumentParser) -> None:
+def _add_day_options(
+    parser: argparse.ArgumentParser, *, workload: str, policy: str, jobs: int
+) -> None:
+    """The flags of a service day, shared by ``service``,
+    ``fleet-service`` and ``chaos`` (each passes its own defaults)."""
+    parser.add_argument("-w", "--workload", default=workload,
+                        help="workload preset: steady | diurnal | bursty "
+                             f"(default {workload})")
+    parser.add_argument("-p", "--policy", default=policy,
+                        help="deferral policy: run-now | deadline-edf | "
+                             "price-threshold | carbon-aware"
+                             f"{' | all' if policy == 'all' else ''} "
+                             f"(default {policy})")
+    parser.add_argument("--tariff", default="peak-offpeak",
+                        help="tariff preset: flat | peak-offpeak | "
+                             "green-midday (default peak-offpeak)")
+    parser.add_argument("--jobs", type=int, default=jobs,
+                        help=f"tenant requests over the day (default {jobs})")
+    parser.add_argument("--day", type=float, default=3600.0,
+                        help="length of the simulated day in seconds; job "
+                             "sizes (and chaos fault timings) scale "
+                             "proportionally (default 3600)")
+    parser.add_argument("--seed", type=int, default=7,
+                        help="workload (and chaos scenario) seed (default 7)")
+    parser.add_argument("--max-concurrent", type=int, default=4,
+                        help="admission concurrency cap, per shard in a "
+                             "fleet (default 4)")
+    parser.add_argument("-c", "--max-channels", type=int, default=4,
+                        help="channel budget per ENERGY/BALANCED job "
+                             "(default 4)")
+    parser.add_argument("--dataset-pool", type=int, default=None, metavar="N",
+                        help="pre-draw N datasets per tenant and reuse them "
+                             "across arrivals (exercises plan memoization; "
+                             "default: fresh draw per job)")
     parser.add_argument(
         "--topology", default=None, metavar="SPEC",
         help="run topology-backed: single-link | "
@@ -370,6 +300,65 @@ def _add_topology(parser: argparse.ArgumentParser) -> None:
         "--placement-seed", type=int, default=0,
         help="seed for the random-k placement sampler (default 0)",
     )
+    parser.add_argument("--events", action="store_true",
+                        help="also print the event stream (job lifecycle; "
+                             "fleet dispatch; faults and SLOs)")
+    parser.add_argument("--grid", action="store_true",
+                        help="run the reference dt-grid loop (on every "
+                             "shard of a fleet) instead of the event-horizon "
+                             "fast path (slow; identical results)")
+    parser.add_argument("--json", type=Path, nargs="?", const=Path("-"),
+                        default=None, metavar="PATH",
+                        help="emit the report (for chaos, the pack with its "
+                             "SLO verdicts) as JSON (to PATH, or stdout when "
+                             "no path is given)")
+
+
+def _day_knobs(args: argparse.Namespace) -> dict:
+    """The service knobs :func:`_add_day_options` sets, as keyword
+    arguments of ``ServiceSimulator``, ``FleetSimulator`` and
+    ``run_scenario``."""
+    return dict(
+        max_concurrent_jobs=args.max_concurrent,
+        max_channels=args.max_channels,
+        fast=not args.grid,
+        topology=args.topology,
+        placement=args.placement,
+        placement_seed=args.placement_seed,
+    )
+
+
+def _day_requests(args: argparse.Namespace):
+    """The day's requests and tariff, both scaled to ``--day``."""
+    from repro.service import tariff_by_name, workload_by_name
+
+    requests = workload_by_name(
+        args.workload, args.jobs, day_s=args.day, seed=args.seed,
+        size_scale=args.day / 86400.0, dataset_pool=args.dataset_pool,
+    )
+    return requests, tariff_by_name(args.tariff, period_s=args.day)
+
+
+def _unknown(*checks: tuple[str, str, Collection[str]]) -> bool:
+    """Report the first ``(what, value, known)`` whose ``value`` is not
+    one of the ``known`` names on stderr; ``True`` if there was one
+    (the caller exits 2)."""
+    for what, value, known in checks:
+        if value not in known:
+            print(f"unknown {what} {value!r}; known: "
+                  f"{', '.join(sorted(known))}", file=sys.stderr)
+            return True
+    return False
+
+
+def _write_json(path: Path, text: str, what: str) -> None:
+    """Write the JSON document ``text`` to ``path``, or to stdout when
+    ``path`` is ``-``."""
+    if str(path) == "-":
+        sys.stdout.write(text + "\n")
+    else:
+        path.write_text(text + "\n")
+        print(f"{what} written to {path}")
 
 
 def _resolve_testbed(name: str):
@@ -521,9 +510,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
     testbed = _resolve_testbed(args.testbed)
     if args.workload is not None:
-        if args.workload not in WORKLOAD_PRESETS:
-            print(f"unknown workload {args.workload!r}; "
-                  f"known: {', '.join(sorted(WORKLOAD_PRESETS))}", file=sys.stderr)
+        if _unknown(("workload", args.workload, WORKLOAD_PRESETS)):
             return 2
         dataset = WORKLOAD_PRESETS[args.workload]()
     else:
@@ -538,9 +525,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.service.tariff import TARIFF_PRESETS, tariff_by_name
 
     testbed = _resolve_testbed(args.testbed)
-    if args.tariff not in TARIFF_PRESETS:
-        print(f"unknown tariff {args.tariff!r}; "
-              f"known: {', '.join(sorted(TARIFF_PRESETS))}", file=sys.stderr)
+    if _unknown(("tariff", args.tariff, TARIFF_PRESETS)):
         return 2
     try:
         job = JobClass(
@@ -575,53 +560,38 @@ def _cmd_service(args: argparse.Namespace) -> int:
         TARIFF_PRESETS,
         WORKLOAD_PRESETS,
         policy_by_name,
-        tariff_by_name,
-        workload_by_name,
     )
     from repro.topo import PLACEMENT_POLICIES
 
-    for value, known, what in (
-        (args.workload, WORKLOAD_PRESETS, "workload"),
-        (args.policy, POLICY_PRESETS, "policy"),
-        (args.tariff, TARIFF_PRESETS, "tariff"),
-        (args.placement, PLACEMENT_POLICIES, "placement"),
+    if _unknown(
+        ("workload", args.workload, WORKLOAD_PRESETS),
+        ("policy", args.policy, POLICY_PRESETS),
+        ("tariff", args.tariff, TARIFF_PRESETS),
+        ("placement", args.placement, PLACEMENT_POLICIES),
     ):
-        if value not in known:
-            print(f"unknown {what} {value!r}; known: "
-                  f"{', '.join(sorted(known))}", file=sys.stderr)
-            return 2
+        return 2
     testbed = _resolve_testbed(args.testbed)
-    requests = workload_by_name(
-        args.workload, args.jobs, day_s=args.day, seed=args.seed,
-        size_scale=args.day / 86400.0, dataset_pool=args.dataset_pool,
-    )
-    tariff = tariff_by_name(args.tariff, period_s=args.day)
     observer = Observer()
-    simulator = ServiceSimulator(
-        testbed,
-        policy=policy_by_name(args.policy),
-        tariff=tariff,
-        max_concurrent_jobs=args.max_concurrent,
-        max_per_tenant=args.max_per_tenant,
-        max_channels=args.max_channels,
-        observer=observer,
-        fast=not args.grid,
-        topology=args.topology,
-        placement=args.placement,
-        placement_seed=args.placement_seed,
-    )
+    try:
+        requests, tariff = _day_requests(args)
+        simulator = ServiceSimulator(
+            testbed,
+            policy=policy_by_name(args.policy),
+            tariff=tariff,
+            max_per_tenant=args.max_per_tenant,
+            observer=observer,
+            **_day_knobs(args),
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     report = simulator.run(requests)
     print(report.render())
     if args.events:
         print()
         print(render_events(observer.events))
     if args.json is not None:
-        payload = _json.dumps(report.to_dict(), indent=2) + "\n"
-        if str(args.json) == "-":
-            sys.stdout.write(payload)
-        else:
-            args.json.write_text(payload)
-            print(f"report written to {args.json}")
+        _write_json(args.json, _json.dumps(report.to_dict(), indent=2), "report")
     return 0
 
 
@@ -638,52 +608,42 @@ def _cmd_fleet_service(args: argparse.Namespace) -> int:
         TARIFF_PRESETS,
         WORKLOAD_PRESETS,
         policy_by_name,
-        tariff_by_name,
-        workload_by_name,
     )
     from repro.topo import PLACEMENT_POLICIES
 
-    for value, known, what in (
-        (args.workload, WORKLOAD_PRESETS, "workload"),
-        (args.policy, POLICY_PRESETS, "policy"),
-        (args.tariff, TARIFF_PRESETS, "tariff"),
-        (args.routing, ROUTING_POLICIES, "routing"),
-        (args.placement, PLACEMENT_POLICIES, "placement"),
+    if _unknown(
+        ("workload", args.workload, WORKLOAD_PRESETS),
+        ("policy", args.policy, POLICY_PRESETS),
+        ("tariff", args.tariff, TARIFF_PRESETS),
+        ("routing", args.routing, ROUTING_POLICIES),
+        ("placement", args.placement, PLACEMENT_POLICIES),
     ):
-        if value not in known:
-            print(f"unknown {what} {value!r}; known: "
-                  f"{', '.join(sorted(known))}", file=sys.stderr)
-            return 2
+        return 2
     testbed = _resolve_testbed(args.testbed)
-    requests = workload_by_name(
-        args.workload, args.jobs, day_s=args.day, seed=args.seed,
-        size_scale=args.day / 86400.0, dataset_pool=args.dataset_pool,
-    )
-    tariff = tariff_by_name(args.tariff, period_s=args.day)
     warm = None
     if args.context is not None and args.context.exists():
         warm = FleetContext.load(args.context)
         print(f"warm-start context loaded: {len(warm)} plan entries "
               f"({warm.source or 'unlabelled'})")
     observer = Observer()
-    fleet = FleetSimulator(
-        testbed,
-        policy=policy_by_name(args.policy),
-        tariff=tariff,
-        shards=args.shards,
-        routing=args.routing,
-        steal_threshold=args.steal_threshold if args.steal_threshold > 0 else None,
-        max_concurrent_jobs=args.max_concurrent,
-        max_per_tenant=args.max_per_tenant,
-        max_channels=args.max_channels,
-        observer=observer,
-        fast=not args.grid,
-        workers=args.workers,
-        warm_context=warm,
-        topology=args.topology,
-        placement=args.placement,
-        placement_seed=args.placement_seed,
-    )
+    try:
+        requests, tariff = _day_requests(args)
+        fleet = FleetSimulator(
+            testbed,
+            policy=policy_by_name(args.policy),
+            tariff=tariff,
+            shards=args.shards,
+            routing=args.routing,
+            steal_threshold=args.steal_threshold if args.steal_threshold > 0 else None,
+            max_per_tenant=args.max_per_tenant,
+            observer=observer,
+            workers=args.workers,
+            warm_context=warm,
+            **_day_knobs(args),
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     report = fleet.run(requests)
     print(report.render())
     if args.context is not None and fleet.last_context is not None:
@@ -694,20 +654,13 @@ def _cmd_fleet_service(args: argparse.Namespace) -> int:
         print()
         print(render_events(observer.events))
     if args.json is not None:
-        payload = _json.dumps(report.to_dict(), indent=2) + "\n"
-        if str(args.json) == "-":
-            sys.stdout.write(payload)
-        else:
-            args.json.write_text(payload)
-            print(f"report written to {args.json}")
+        _write_json(args.json, _json.dumps(report.to_dict(), indent=2), "report")
     return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Fault scenarios against the service layer + SLO verdicts."""
-    import json as _json
-
-    from repro.chaos import SCENARIO_PRESETS, run_pack, strip_wall
+    from repro.chaos import SCENARIO_PRESETS, pack_to_json, run_pack
     from repro.obs.observer import Observer, render_events
     from repro.service import (
         POLICY_PRESETS,
@@ -717,15 +670,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     from repro.topo import PLACEMENT_POLICIES
 
-    for value, known, what in (
-        (args.workload, WORKLOAD_PRESETS, "workload"),
-        (args.tariff, TARIFF_PRESETS, "tariff"),
-        (args.placement, PLACEMENT_POLICIES, "placement"),
-    ):
-        if value not in known:
-            print(f"unknown {what} {value!r}; known: "
-                  f"{', '.join(sorted(known))}", file=sys.stderr)
-            return 2
     scenarios = (
         sorted(SCENARIO_PRESETS) if args.scenario == "all"
         else [args.scenario]
@@ -733,38 +677,30 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     policies = (
         sorted(POLICY_PRESETS) if args.policy == "all" else [args.policy]
     )
-    for scenario in scenarios:
-        if scenario not in SCENARIO_PRESETS:
-            print(f"unknown scenario {scenario!r}; known: "
-                  f"{', '.join(sorted(SCENARIO_PRESETS))}", file=sys.stderr)
-            return 2
-    for policy in policies:
-        if policy not in POLICY_PRESETS:
-            print(f"unknown policy {policy!r}; known: "
-                  f"{', '.join(sorted(POLICY_PRESETS))}", file=sys.stderr)
-            return 2
+    if _unknown(
+        ("workload", args.workload, WORKLOAD_PRESETS),
+        ("tariff", args.tariff, TARIFF_PRESETS),
+        ("placement", args.placement, PLACEMENT_POLICIES),
+        *(("scenario", scenario, SCENARIO_PRESETS) for scenario in scenarios),
+        *(("policy", policy, POLICY_PRESETS) for policy in policies),
+    ):
+        return 2
     testbed = _resolve_testbed(args.testbed)
     tariff = tariff_by_name(args.tariff, period_s=args.day)
     observer = Observer()
     config = dict(
         scenarios=scenarios, policies=policies,
         jobs=args.jobs, day_s=args.day, seed=args.seed,
-        workload=args.workload, max_concurrent_jobs=args.max_concurrent,
-        max_channels=args.max_channels, shards=args.shards,
-        workers=args.workers, fast=not args.grid,
-        dataset_pool=args.dataset_pool,
-        topology=args.topology, placement=args.placement,
-        placement_seed=args.placement_seed,
+        workload=args.workload, shards=args.shards, workers=args.workers,
+        dataset_pool=args.dataset_pool, **_day_knobs(args),
     )
     results = run_pack(
         testbed=testbed, tariff=tariff, observer=observer, **config
     )
     if args.check:
-        first = [strip_wall(result.to_dict()) for result in results]
         rerun = run_pack(testbed=testbed, tariff=tariff, **config)
-        second = [strip_wall(result.to_dict()) for result in rerun]
-        if _json.dumps(first, sort_keys=True) != _json.dumps(
-            second, sort_keys=True
+        if pack_to_json(results, sort_keys=True) != pack_to_json(
+            rerun, sort_keys=True
         ):
             print("DETERMINISM CHECK FAILED: same-seed rerun diverged",
                   file=sys.stderr)
@@ -783,18 +719,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print()
         print(render_events(observer.events))
     if args.json is not None:
-        payload = _json.dumps(
-            {
-                "results": [strip_wall(r.to_dict()) for r in results],
-                "passed": not failed,
-            },
-            indent=2,
-        ) + "\n"
-        if str(args.json) == "-":
-            sys.stdout.write(payload)
-        else:
-            args.json.write_text(payload)
-            print(f"pack written to {args.json}")
+        _write_json(args.json, pack_to_json(results, indent=2), "pack")
     return 0
 
 
@@ -811,9 +736,7 @@ def _cmd_topo(args: argparse.Namespace) -> int:
         build_topology,
     )
 
-    if args.placement not in PLACEMENT_POLICIES:
-        print(f"unknown placement {args.placement!r}; known: "
-              f"{', '.join(PLACEMENT_POLICIES)}", file=sys.stderr)
+    if _unknown(("placement", args.placement, PLACEMENT_POLICIES)):
         return 2
     if args.flows < 1:
         print("--flows must be >= 1", file=sys.stderr)
@@ -897,12 +820,7 @@ def _cmd_topo(args: argparse.Namespace) -> int:
               f"{units.to_gbps(cell['capacity']):.2f} Gbps "
               f"({cell['flows']} flows)")
     if args.json is not None:
-        text = _json.dumps(payload, indent=2) + "\n"
-        if str(args.json) == "-":
-            sys.stdout.write(text)
-        else:
-            args.json.write_text(text)
-            print(f"allocation written to {args.json}")
+        _write_json(args.json, _json.dumps(payload, indent=2), "allocation")
     return 0
 
 

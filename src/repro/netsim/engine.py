@@ -62,7 +62,6 @@ __all__ = [
     "Binding",
     "ChunkPlan",
     "ChunkState",
-    "EngineEvent",
     "EngineSnapshot",
     "PiecewiseTraffic",
     "StepRecord",
@@ -279,26 +278,6 @@ class StepRecord:
     active_channels: int
 
 
-@dataclass(frozen=True)
-class EngineEvent:
-    """One entry of the structured event log (``record_events=True``).
-
-    ``kind`` is one of: ``channel_opened``, ``channel_closed``,
-    ``channel_reassigned``, ``channel_failed``, ``server_failed``,
-    ``server_recovered``, ``chunk_drained``, ``file_completed``.
-    ``detail`` carries the kind-specific facts (chunk, servers, file).
-
-    Causal ordering is guaranteed: a ``channel_failed`` precedes the
-    ``channel_closed`` it causes, and a ``server_failed`` precedes the
-    closures (and reconnections) it triggers. ``time`` is the simulated
-    time in seconds.
-    """
-
-    time: Seconds
-    kind: str
-    detail: dict
-
-
 class TransferEngine:
     """Simulates one end-to-end transfer job between two sites."""
 
@@ -313,7 +292,6 @@ class TransferEngine:
         binding: Binding = Binding.PACK,
         work_stealing: bool = True,
         record_trace: bool = False,
-        record_events: bool = False,
         background_traffic: Union[Callable[[float], float], float, None] = None,
         fast_path: bool = True,
         observer=None,
@@ -340,7 +318,10 @@ class TransferEngine:
         ``observer`` (optional, a :class:`repro.obs.Observer`) receives
         structured events — allocation changes, work-stealing
         adoptions, failures/recoveries, macro-steps vs fixed-``dt``
-        fallback stretches — and metric updates. With ``observer=None``
+        fallback stretches — and metric updates. Failure events precede
+        the state changes they cause: a ``channel_failed`` comes before
+        the ``channel_closed`` it triggers, and a ``server_failed``
+        before its closures and reconnections. With ``observer=None``
         (the default) every instrumentation site reduces to one
         ``is not None`` check and the engine allocates nothing extra
         per step (the zero-cost guarantee DESIGN.md documents).
@@ -360,7 +341,6 @@ class TransferEngine:
         self.binding = binding
         self.work_stealing = work_stealing
         self.record_trace = record_trace
-        self.record_events = record_events
         self.background_traffic = background_traffic
         self.fast_path = fast_path
         self.observer = observer
@@ -376,8 +356,6 @@ class TransferEngine:
         self.total_energy = 0.0
         self.total_files = 0
         self.trace: list[StepRecord] = []
-        #: Structured event log (populated when ``record_events``).
-        self.events: list[EngineEvent] = []
         self._drained_logged: set[str] = set()
         self.chunks: dict[str, ChunkState] = {}
         #: Chunks registered via :meth:`submit_chunk` whose planned
@@ -815,8 +793,6 @@ class TransferEngine:
                 self._log_event("server_recovered", side=key[0], index=key[1])
 
     def _log_event(self, kind: str, **detail) -> None:
-        if self.record_events:
-            self.events.append(EngineEvent(time=self.time, kind=kind, detail=detail))
         if self.observer is not None:
             self.observer.emit(self.time, kind, **detail)
 
@@ -1053,7 +1029,7 @@ class TransferEngine:
         total_streams = sum(c.parallelism for c in busy)
         step_loss = tcp.loss_fraction(self.path, total_streams)
         wire_factor = (1.0 + self.path.header_overhead) / max(1e-9, 1.0 - step_loss)
-        log_files = self.record_events or self.observer is not None
+        log_files = self.observer is not None
 
         moved_src: dict[int, float] = {}
         moved_dst: dict[int, float] = {}

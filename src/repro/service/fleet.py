@@ -56,6 +56,7 @@ simulates the fleet's day.)
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
@@ -719,42 +720,34 @@ def _run_shard(payload: dict) -> dict:
 
     Top-level (not a closure/method) so a spawn-based
     :class:`ProcessPoolExecutor` can import it; everything it needs
-    travels in the payload dict. Seeds the worker's plan cache from the
-    warm-start entries first, and exports the (now warmer) cache back
-    so the parent can accumulate context across runs.
+    travels in the payload dict, the shard's unobserved
+    :class:`~repro.service.simulate.ServiceSimulator` included. Seeds
+    the worker's plan cache from the warm-start entries first, and
+    exports the (now warmer) cache back so the parent can accumulate
+    context across runs.
     """
-    spec: ShardSpec = payload["spec"]
-    warm: Sequence[PlanCacheEntry] = payload["warm"]
-    if warm:
-        seed_plan_cache(spec.testbed, warm)
-    observer = Observer() if payload["observe"] else None
-    simulator = ServiceSimulator(
-        spec.testbed,
-        policy=payload["policy"],
-        tariff=payload["tariff"],
-        max_concurrent_jobs=payload["max_concurrent_jobs"],
-        max_per_tenant=payload["max_per_tenant"],
-        max_channels=payload["max_channels"],
-        partition_policy=payload["partition_policy"],
-        observer=observer,
-        fast=payload["fast"],
-        topology=payload.get("topology"),
-        placement=payload.get("placement", "least-congested"),
-        placement_seed=payload.get("placement_seed", 0),
-    )
+    # a run-local copy: interventions mutate the service they hit (a
+    # ``TariffSwap`` replaces its tariff), which must not leak into the
+    # shard's next run
+    simulator: ServiceSimulator = copy.copy(payload["simulator"])
+    if payload["warm"]:
+        seed_plan_cache(simulator.testbed, payload["warm"])
+    if payload["observe"]:
+        simulator.observer = Observer()
     start = time.perf_counter()  # repro: noqa[RPL002] — real shard wall-clock, reported outside the determinism contract
     report = simulator.run(
         payload["requests"],
         max_time=payload["max_time"],
-        interventions=payload.get("interventions", ()),
-        on_timeout=payload.get("on_timeout", "raise"),
+        interventions=payload["interventions"],
+        on_timeout=payload["on_timeout"],
     )
     wall_s = time.perf_counter() - start  # repro: noqa[RPL002] — see above
+    observer = simulator.observer
     return {
         "report": report,
         "wall_s": wall_s,
         "summary": observer.summary() if observer is not None else None,
-        "export": export_plan_cache(spec.testbed),
+        "export": export_plan_cache(simulator.testbed),
     }
 
 
@@ -770,10 +763,13 @@ class FleetSimulator:
     Construct either with one ``testbed`` replicated ``shards`` times
     (a homogeneous fleet of identical links, shards named ``s0..sN``)
     or with explicit ``shard_specs`` (heterogeneous links and weights).
-    Every per-shard knob (``max_concurrent_jobs``, ``max_per_tenant``,
-    ``max_channels``, ``partition_policy``, ``fast``) is passed through
-    to each shard's :class:`~repro.service.simulate.ServiceSimulator`
-    unchanged, so a one-shard fleet reproduces the plain service
+    Each shard carries its own unobserved
+    :class:`~repro.service.simulate.ServiceSimulator`, built here from
+    the service knobs (``policy``, ``tariff``, ``max_concurrent_jobs``,
+    ``max_per_tenant``, ``max_channels``, ``partition_policy``,
+    ``fast``, ``topology``, ``placement``, ``placement_seed``) and so
+    validated at construction; a shard's own ``topology`` spec wins
+    over the fleet's. A one-shard fleet reproduces the plain service
     exactly.
 
     ``workers`` bounds real parallelism: ``None`` picks
@@ -828,17 +824,10 @@ class FleetSimulator:
         self.tariff = tariff
         self.routing = routing
         self.steal_threshold = steal_threshold
-        self.max_concurrent_jobs = max_concurrent_jobs
-        self.max_per_tenant = max_per_tenant
-        self.max_channels = max_channels
-        self.partition_policy = partition_policy
         self.observer = observer
-        self.fast = fast
         #: Topology travels as a *spec string* (picklable; each shard
         #: builds its own fresh instance against its testbed's path).
         self.topology = topology
-        self.placement = placement
-        self.placement_seed = placement_seed
         self.workers = workers
         self.warm_context = warm_context
         #: Set by :meth:`run`: the accumulated warm-start context.
@@ -865,6 +854,22 @@ class FleetSimulator:
                 bandwidth=self.shards[0].testbed.path.bandwidth,
             )
         _check_routing(routing, steal_threshold, self.shards, self._fabric)
+        self._services = [
+            ServiceSimulator(
+                spec.testbed,
+                policy=policy,
+                tariff=tariff,
+                max_concurrent_jobs=max_concurrent_jobs,
+                max_per_tenant=max_per_tenant,
+                max_channels=max_channels,
+                partition_policy=partition_policy,
+                fast=fast,
+                topology=spec.topology if spec.topology is not None else topology,
+                placement=placement,
+                placement_seed=placement_seed,
+            )
+            for spec in self.shards
+        ]
 
     # ------------------------------------------------------------------
 
@@ -881,29 +886,17 @@ class FleetSimulator:
         observe = self.observer is not None
         return [
             {
-                "spec": spec,
+                "simulator": simulator,
                 "requests": list(bucket),
-                "policy": self.policy,
-                "tariff": self.tariff,
-                "max_concurrent_jobs": self.max_concurrent_jobs,
-                "max_per_tenant": self.max_per_tenant,
-                "max_channels": self.max_channels,
-                "partition_policy": self.partition_policy,
-                "fast": self.fast,
-                "topology": (
-                    spec.topology
-                    if spec.topology is not None
-                    else self.topology
-                ),
-                "placement": self.placement,
-                "placement_seed": self.placement_seed,
                 "max_time": max_time,
                 "observe": observe,
                 "warm": warm,
                 "interventions": tuple(interventions),
                 "on_timeout": on_timeout,
             }
-            for spec, bucket in zip(self.shards, routed.buckets, strict=True)
+            for simulator, bucket in zip(
+                self._services, routed.buckets, strict=True
+            )
         ]
 
     def run(

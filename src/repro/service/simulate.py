@@ -569,19 +569,35 @@ class ServiceSimulator:
                 and tenant_running.get(tenant, 0) >= self.max_per_tenant
             ):
                 continue
-            state.record = sim.submit(
-                state.request.name, state.plan.plans, arrival_time=now
-            )
-            state.result.admitted_at = now
             waiting.remove(state)
-            running.append(state)
+            self._start(now, state, running, sim)
             tenant_running[tenant] = tenant_running.get(tenant, 0) + 1
             slots -= 1
-            if self.observer is not None:
-                self.observer.emit(
-                    now, "job_admitted", job=state.request.name,
-                    queue_wait_s=state.result.queue_wait_s,
-                )
+
+    def _start(
+        self,
+        now: Seconds,
+        state: _JobState,
+        running: list[_JobState],
+        sim: MultiTransferSimulator,
+    ) -> None:
+        """Hand an admitted job to the executor, arriving at ``now``.
+
+        ``now`` is a sum of ``dt`` steps and can sit a round-off below
+        the submit time that the ``1e-9`` ingest tolerance let in, so
+        the admission stamp is clamped to the submission: a queue wait
+        is never negative.
+        """
+        state.record = sim.submit(
+            state.request.name, state.plan.plans, arrival_time=now
+        )
+        state.result.admitted_at = max(now, state.result.submitted_at)
+        running.append(state)
+        if self.observer is not None:
+            self.observer.emit(
+                now, "job_admitted", job=state.request.name,
+                queue_wait_s=state.result.queue_wait_s,
+            )
 
     def _finalize(self, state: _JobState, now: Seconds) -> None:
         """Close a completed job's books and emit its events."""
@@ -829,18 +845,9 @@ class ServiceSimulator:
             ):
                 skipped.append(entry)
                 continue
-            state.record = sim.submit(
-                state.request.name, state.plan.plans, arrival_time=now
-            )
-            state.result.admitted_at = now
-            running.append(state)
+            self._start(now, state, running, sim)
             tenant_running[tenant] = tenant_running.get(tenant, 0) + 1
             slots -= 1
-            if self.observer is not None:
-                self.observer.emit(
-                    now, "job_admitted", job=state.request.name,
-                    queue_wait_s=state.result.queue_wait_s,
-                )
         for entry in skipped:
             heapq.heappush(eligible, entry)
 

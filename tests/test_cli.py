@@ -123,6 +123,26 @@ class TestCommands:
         assert captured.err.strip() == message
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["service", "--max-concurrent", "0"], "max_concurrent_jobs must be >= 1"),
+        (["service", "--jobs", "-1"], "n_jobs must be >= 1"),
+        (["service", "--day", "0"], "day_s must be > 0"),
+        (["fleet-service", "--shards", "0"], "shards must be >= 1"),
+        (["fleet-service", "--workers", "0"], "workers must be >= 1"),
+        (["fleet-service", "--max-per-tenant", "0"], "max_per_tenant must be >= 1"),
+        (["fleet-service", "--routing", "topology-aware"],
+         "topology-aware routing requires a fleet topology spec"),
+    ], ids=[
+        "service-max-concurrent", "service-jobs", "service-day",
+        "fleet-shards", "fleet-workers", "fleet-max-per-tenant",
+        "fleet-topology-aware-without-topology",
+    ])
+    def test_day_out_of_range_exits_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+
     def test_pareto(self, capsys):
         assert main(["pareto", "-t", "didclab", "-l", "1", "4"]) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,6 @@
-"""Structured engine event log."""
+"""Engine events, as the engine's observer receives them."""
 
+from dataclasses import dataclass
 
 import pytest
 
@@ -10,9 +11,30 @@ from repro.netsim.endpoint import EndSystem, ServerSpec
 from repro.netsim.engine import ChunkPlan, TransferEngine
 from repro.netsim.link import NetworkPath
 from repro.netsim.params import TransferParams
+from repro.obs import Observer
 
 
-def build_engine(record_events=True, server_count=2, **kwargs) -> TransferEngine:
+@dataclass(frozen=True)
+class Logged:
+    time: float
+    kind: str
+    detail: dict
+
+
+class RecordingObserver(Observer):
+    """Keeps every emitted event in order, count-only kinds included
+    (the stream drops those)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: list[Logged] = []
+
+    def emit(self, time, kind, **detail):
+        self.log.append(Logged(time, kind, detail))
+        super().emit(time, kind, **detail)
+
+
+def build_engine(server_count=2, **kwargs) -> TransferEngine:
     server = ServerSpec(
         name="s", cores=4, tdp_watts=100.0, nic_rate=units.gbps(1),
         disk=ParallelDisk(50e6, 200e6), per_channel_rate=50e6, core_rate=200e6,
@@ -21,7 +43,7 @@ def build_engine(record_events=True, server_count=2, **kwargs) -> TransferEngine
     site = EndSystem("site", server, server_count)
     path = NetworkPath(bandwidth=units.gbps(1), rtt=units.ms(5), tcp_buffer=8 * units.MB)
     return TransferEngine(path, site, site, lambda s, u: 5.0, dt=0.1,
-                          record_events=record_events, **kwargs)
+                          observer=RecordingObserver(), **kwargs)
 
 
 def plan(name="c", n=5, size=5 * units.MB, cc=2):
@@ -29,17 +51,15 @@ def plan(name="c", n=5, size=5 * units.MB, cc=2):
     return ChunkPlan(name, files, TransferParams(concurrency=cc))
 
 
+def events(engine):
+    return engine.observer.log
+
+
 def kinds(engine):
-    return [e.kind for e in engine.events]
+    return [e.kind for e in events(engine)]
 
 
 class TestEventLog:
-    def test_disabled_by_default(self):
-        engine = build_engine(record_events=False)
-        engine.add_chunk(plan())
-        engine.run()
-        assert engine.events == []
-
     def test_channel_lifecycle_events(self):
         engine = build_engine()
         engine.add_chunk(plan(cc=2))
@@ -52,7 +72,7 @@ class TestEventLog:
         engine = build_engine(fast_path=fast_path)
         engine.add_chunk(plan(n=4, cc=2))
         engine.run()
-        file_events = [e for e in engine.events if e.kind == "file_completed"]
+        file_events = [e for e in events(engine) if e.kind == "file_completed"]
         assert sum(e.detail["count"] for e in file_events) == 4
         assert kinds(engine).count("chunk_drained") == 1
 
@@ -61,7 +81,7 @@ class TestEventLog:
         engine.add_chunk(plan("fast", n=1, cc=1))
         engine.add_chunk(plan("slow", n=4, cc=0), open_channels=False)
         engine.run()
-        reassignments = [e for e in engine.events if e.kind == "channel_reassigned"]
+        reassignments = [e for e in events(engine) if e.kind == "channel_reassigned"]
         assert reassignments
         assert reassignments[0].detail == {"from_chunk": "fast", "to_chunk": "slow"}
 
@@ -73,7 +93,7 @@ class TestEventLog:
         engine.run(1.0)
         assert "server_failed" in kinds(engine)
         assert "server_recovered" in kinds(engine)
-        failed = next(e for e in engine.events if e.kind == "server_failed")
+        failed = next(e for e in events(engine) if e.kind == "server_failed")
         assert failed.detail["side"] == "src"
         assert failed.detail["channels_lost"] >= 1
 
@@ -83,14 +103,14 @@ class TestEventLog:
         engine.run(0.3)
         victim = next(c for c in engine.channels if c.busy)
         engine.fail_channel(victim, restart_file=True)
-        event = next(e for e in engine.events if e.kind == "channel_failed")
+        event = next(e for e in events(engine) if e.kind == "channel_failed")
         assert event.detail["restart_file"] is True
 
     def test_events_are_time_ordered(self):
         engine = build_engine()
         engine.add_chunk(plan(n=8, cc=2))
         engine.run()
-        times = [e.time for e in engine.events]
+        times = [e.time for e in events(engine)]
         assert times == sorted(times)
 
 
@@ -112,12 +132,12 @@ class TestEventCausalOrdering:
         engine = build_engine()
         engine.add_chunk(plan(n=30, size=10 * units.MB, cc=4))
         engine.run(0.3)
-        mark = len(engine.events)
+        mark = len(events(engine))
         engine.fail_server("src", 0, downtime=0.5)
-        tail = [e.kind for e in engine.events[mark:]]
+        tail = [e.kind for e in events(engine)[mark:]]
         assert tail[0] == "server_failed"
         lost = next(
-            e for e in engine.events if e.kind == "server_failed"
+            e for e in events(engine) if e.kind == "server_failed"
         ).detail["channels_lost"]
         # every closure (and the reopen replacing it) comes after
         assert tail.count("channel_closed") == lost
@@ -130,9 +150,9 @@ class TestEventCausalOrdering:
         engine.add_chunk(plan(n=10, size=20 * units.MB, cc=2))
         engine.run(0.3)
         victim = next(c for c in engine.channels if c.busy)
-        mark = len(engine.events)
+        mark = len(events(engine))
         engine.fail_channel(victim)
-        assert len({e.time for e in engine.events[mark:]}) == 1
+        assert len({e.time for e in events(engine)[mark:]}) == 1
 
 
 class TestWorkStealingAdoption:
@@ -149,7 +169,7 @@ class TestWorkStealingAdoption:
             ChunkPlan("slow", files_slow, TransferParams(pipelining=8, parallelism=4, concurrency=1))
         )
         engine.run()
-        reassigned = [e for e in engine.events if e.kind == "channel_reassigned"]
+        reassigned = [e for e in events(engine) if e.kind == "channel_reassigned"]
         assert reassigned and reassigned[0].detail["to_chunk"] == "slow"
         # after the steal the channel carries the slow chunk's parameters
         stolen = engine.channels_for("slow")

@@ -9,6 +9,7 @@ import zlib
 import pytest
 
 from repro import units
+from repro.chaos import TariffSwap
 from repro.cli import main as cli_main
 from repro.datasets.files import Dataset
 from repro.obs.events import EVENT_SCHEMA
@@ -355,6 +356,24 @@ class TestFleetMerge:
             )
         assert dumps[0] == dumps[1]
 
+    def test_intervention_stays_in_its_run(self, small_testbed):
+        """A shard's service outlives a run; a ``TariffSwap`` injected
+        into one run must not reprice the fleet's next run."""
+        reqs = [
+            make_request(name=f"j{i}", tenant=f"t{i % 3}", submit=2.0 * i)
+            for i in range(6)
+        ]
+        fleet = small_fleet(small_testbed, shards=2)
+        swapped = fleet.run(
+            reqs, interventions=(TariffSwap(0.0, flat_tariff(price=1.0)),)
+        )
+        after = fleet.run(reqs)
+        fresh = small_fleet(small_testbed, shards=2).run(reqs)
+        assert swapped.total_cost_usd > fresh.total_cost_usd
+        assert json.dumps(strip_wall(after.to_dict()), sort_keys=True) == (
+            json.dumps(strip_wall(fresh.to_dict()), sort_keys=True)
+        )
+
 
 class TestFleetValidation:
     def test_constructor_rejects_bad_args(self, small_testbed):
@@ -374,6 +393,13 @@ class TestFleetValidation:
             FleetSimulator(small_testbed, steal_threshold=0.0, **kwargs)
         with pytest.raises(ValueError, match="workers"):
             FleetSimulator(small_testbed, workers=0, **kwargs)
+        # shard service knobs fail at construction, not inside run()
+        with pytest.raises(ValueError, match="unknown placement"):
+            FleetSimulator(small_testbed, placement="bogus", **kwargs)
+        with pytest.raises(ValueError, match="max_concurrent_jobs"):
+            FleetSimulator(small_testbed, max_concurrent_jobs=0, **kwargs)
+        with pytest.raises(ValueError, match="max_per_tenant"):
+            FleetSimulator(small_testbed, max_per_tenant=0, **kwargs)
         with pytest.raises(ValueError, match="duplicate shard names"):
             FleetSimulator(
                 shard_specs=[

@@ -27,6 +27,7 @@ from repro.service import (
     TariffTrace,
     TransferRequest,
     diurnal_workload,
+    flat_tariff,
     green_midday_tariff,
     peak_offpeak_tariff,
     plan_for,
@@ -175,6 +176,31 @@ class TestFastGridEquivalence:
         # a flat trace never changes: the horizon must be open-ended
         flat = TariffTrace(name="one", points=((0.0, 0.08, 0.37),))
         assert flat.plateau(123.0) == (0.08, 0.37, math.inf)
+
+    @pytest.mark.parametrize("gap", [1.1, 1.3, 2.1])
+    def test_admission_never_precedes_submission(self, small_testbed, gap):
+        """Submit times off the dt grid: ``now`` is a sum of dt steps
+        and can sit a round-off below a submit time the ingest
+        tolerance already let in. The admission stamp must not fall
+        before the submission, in either loop."""
+        requests = [
+            TransferRequest(
+                name=f"j{i:02d}", tenant="t",
+                dataset=Dataset.from_sizes(
+                    [20 * units.MB] * (4 + i % 5), name=f"j{i:02d}"
+                ),
+                sla=BALANCED, submit_time=i * gap,
+            )
+            for i in range(12)
+        ]
+        fast, grid = run_both(
+            small_testbed, requests, tariff=flat_tariff(period_s=DAY),
+            max_concurrent_jobs=2,
+        )
+        assert_equivalent(fast, grid)
+        for report in (fast, grid):
+            assert all(j.queue_wait_s >= 0 for j in report.jobs)
+            assert report.mean_queue_wait_s >= 0
 
     def test_grid_mode_opt_out(self, small_testbed):
         """``fast=False`` really runs the reference loop (macro
