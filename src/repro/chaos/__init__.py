@@ -17,6 +17,7 @@ from repro.chaos.actions import (
 )
 from repro.chaos.orchestrator import (
     ChaosResult,
+    day_simulator,
     pack_to_json,
     run_pack,
     run_scenario,
@@ -43,5 +44,6 @@ __all__ = [
     # SLO oracle
     "SLO_METRICS", "SLORule", "SLOCheck", "SLOBudget", "SLOVerdict",
     # orchestrator
-    "ChaosResult", "run_scenario", "run_pack", "pack_to_json", "strip_wall",
+    "ChaosResult", "day_simulator", "run_scenario", "run_pack", "pack_to_json",
+    "strip_wall",
 ]

@@ -37,7 +37,8 @@ from repro.testbeds import Testbed
 from repro.units import Seconds
 
 __all__ = [
-    "ChaosResult", "run_scenario", "run_pack", "pack_to_json", "strip_wall",
+    "ChaosResult", "day_simulator", "run_scenario", "run_pack", "pack_to_json",
+    "strip_wall",
 ]
 
 #: Report fields measuring the real machine, not the simulation —
@@ -124,6 +125,19 @@ def _resolve_scenario(
     )
 
 
+def day_simulator(
+    testbed: Testbed, *, shards: int = 1, workers: Optional[int] = 1,
+    **service: Any,
+) -> Union[ServiceSimulator, FleetSimulator]:
+    """The simulator one chaos cell runs: a :class:`ServiceSimulator`
+    for ``shards <= 1``, else a :class:`FleetSimulator`. ``service`` is
+    passed to it unchanged, so an out-of-range knob raises
+    ``ValueError`` here."""
+    if shards <= 1:
+        return ServiceSimulator(testbed, **service)
+    return FleetSimulator(testbed, shards=shards, workers=workers, **service)
+
+
 def run_scenario(
     scenario: Union[str, ScenarioScript],
     *,
@@ -177,15 +191,12 @@ def run_scenario(
     )
     if max_time is None:
         max_time = 8.0 * day_s
-    service: dict[str, Any] = dict(
+    simulator = day_simulator(
+        testbed, shards=shards, workers=workers,
         policy=policy, tariff=tariff,
         max_concurrent_jobs=max_concurrent_jobs, max_channels=max_channels,
         observer=observer, fast=fast, topology=topology,
         placement=placement, placement_seed=placement_seed,
-    )
-    simulator: Union[ServiceSimulator, FleetSimulator] = (
-        ServiceSimulator(testbed, **service) if shards <= 1
-        else FleetSimulator(testbed, shards=shards, workers=workers, **service)
     )
     report = simulator.run(
         requests, max_time=max_time, interventions=script.actions,

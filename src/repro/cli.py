@@ -361,19 +361,30 @@ def _write_json(path: Path, text: str, what: str) -> None:
         print(f"{what} written to {path}")
 
 
+def _is_testbed_file(name: str) -> bool:
+    """Whether ``-t`` names a testbed definition file, not a built-in."""
+    candidate = Path(name)
+    return candidate.suffix == ".json" or candidate.is_file()
+
+
 def _resolve_testbed(name: str):
     """A built-in testbed by name, or a JSON definition by path."""
-    candidate = Path(name)
-    if candidate.suffix == ".json" or candidate.is_file():
+    if _is_testbed_file(name):
         from repro.testbeds.io import load_testbed
 
-        return load_testbed(candidate)
+        return load_testbed(Path(name))
     return testbed_by_name(name)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    testbed = getattr(args, "testbed", None)
+    if testbed is not None and not _is_testbed_file(testbed) and _unknown(
+        ("testbed", testbed.strip().lower(),
+         {known.name.lower() for known in ALL_TESTBEDS}),
+    ):
+        return 2
     handler = {
         "testbeds": _cmd_testbeds,
         "dataset": _cmd_dataset,
@@ -660,13 +671,13 @@ def _cmd_fleet_service(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Fault scenarios against the service layer + SLO verdicts."""
-    from repro.chaos import SCENARIO_PRESETS, pack_to_json, run_pack
+    from repro.chaos import SCENARIO_PRESETS, day_simulator, pack_to_json, run_pack
     from repro.obs.observer import Observer, render_events
     from repro.service import (
         POLICY_PRESETS,
         TARIFF_PRESETS,
         WORKLOAD_PRESETS,
-        tariff_by_name,
+        policy_by_name,
     )
     from repro.topo import PLACEMENT_POLICIES
 
@@ -686,7 +697,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     ):
         return 2
     testbed = _resolve_testbed(args.testbed)
-    tariff = tariff_by_name(args.tariff, period_s=args.day)
+    try:
+        # every cell shares these knobs: check them once, up front
+        _requests, tariff = _day_requests(args)
+        day_simulator(
+            testbed, shards=args.shards, workers=args.workers,
+            policy=policy_by_name(policies[0]), tariff=tariff,
+            **_day_knobs(args),
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     observer = Observer()
     config = dict(
         scenarios=scenarios, policies=policies,

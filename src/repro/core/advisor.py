@@ -20,13 +20,20 @@ from repro.core.chunks import Chunk, PartitionPolicy, partition_files
 from repro.datasets.files import Dataset
 from repro.netsim import tcp
 from repro.netsim.disk import SingleDisk
-from repro.netsim.engine import ChunkPlan
+from repro.netsim.engine import ChunkPlan, PowerKernel
 from repro.netsim.params import TransferParams
-from repro.netsim.utilization import compute_utilization
 from repro.power.models import FineGrainedPowerModel
 from repro.testbeds.specs import Testbed
 
-__all__ = ["ChunkAdvice", "TransferAdvice", "advise", "predict_plan_performance"]
+__all__ = [
+    "ChunkAdvice",
+    "PlanPredictor",
+    "TransferAdvice",
+    "advise",
+    "plan_predictor",
+    "plan_predictor_clear",
+    "predict_plan_performance",
+]
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,91 @@ def _pipelining_efficiency(testbed: Testbed, avg: float, params: TransferParams,
     return transfer_time / (transfer_time + gap)
 
 
+class PlanPredictor:
+    """The testbed-fixed half of :func:`predict_plan_performance`.
+
+    Holds what every prediction on one testbed shares: the per-channel
+    cap per parallelism, and per ``(channels, streams)`` total the
+    shared-capacity bound and both sites' Eq. 1 power kernels
+    (:meth:`FineGrainedPowerModel.power_kernel
+    <repro.power.models.FineGrainedPowerModel.power_kernel>`, the one
+    the engine integrates, bit-identical to ``compute_utilization`` +
+    ``power``). Get one with :func:`plan_predictor`.
+    """
+
+    def __init__(self, testbed: Testbed) -> None:
+        self.testbed = testbed
+        self._power_kernel = FineGrainedPowerModel(testbed.coefficients).power_kernel
+        self._caps: dict[int, float] = {}
+        self._points: dict[tuple[int, int], tuple[float, PowerKernel, PowerKernel]] = {}
+
+    def channel_rate(self, params: TransferParams, avg: float) -> tuple[float, float]:
+        """``(cap, efficiency)`` of one channel of a chunk whose files
+        average ``avg`` bytes: its rate cap (bytes/s) and the fraction
+        of its time spent moving payload."""
+        cap = self._caps.get(params.parallelism)
+        if cap is None:
+            cap = self._caps[params.parallelism] = _channel_cap(
+                self.testbed, params.parallelism
+            )[0]
+        return cap, _pipelining_efficiency(self.testbed, avg, params, cap)
+
+    def operating_point(
+        self, demand: float, channels: int, streams: int
+    ) -> tuple[float, float]:
+        """(throughput bytes/s, power watts) of ``channels`` channels
+        carrying ``streams`` streams that jointly demand ``demand``
+        bytes/s (``demand > 0``)."""
+        point = self._points.get((channels, streams))
+        if point is None:
+            testbed = self.testbed
+            source = testbed.source.server
+            destination = testbed.destination.server
+            channels_1 = max(1, channels)
+            streams_1 = max(1, streams)
+            bound = min(
+                tcp.aggregate_goodput(testbed.path, streams_1),
+                source.disk.aggregate_capacity(channels_1),
+                destination.disk.aggregate_capacity(channels_1),
+                source.nic_rate,
+                destination.nic_rate,
+            )
+            point = self._points[(channels, streams)] = (
+                bound,
+                self._power_kernel(source, channels_1, streams_1),
+                self._power_kernel(destination, channels_1, streams_1),
+            )
+        bound, source_kernel, destination_kernel = point
+        aggregate = min(demand, bound)
+        power = 0.0
+        power += source_kernel(aggregate)[0]
+        power += destination_kernel(aggregate)[0]
+        return aggregate, power
+
+
+#: :class:`PlanPredictor` per testbed, keyed by ``id(testbed)`` (hashing
+#: the frozen ``Testbed`` costs more than the lookups it would serve);
+#: each entry holds its testbed, so the id cannot be reused while it lives.
+_PREDICTORS: dict[int, PlanPredictor] = {}
+_PREDICTORS_CAP = 64
+
+
+def plan_predictor(testbed: Testbed) -> PlanPredictor:
+    """The memoized :class:`PlanPredictor` of ``testbed``."""
+    predictor = _PREDICTORS.get(id(testbed))
+    if predictor is None:
+        if len(_PREDICTORS) >= _PREDICTORS_CAP:
+            _PREDICTORS.clear()
+        predictor = _PREDICTORS[id(testbed)] = PlanPredictor(testbed)
+    return predictor
+
+
+def plan_predictor_clear() -> None:
+    """Drop every memoized :class:`PlanPredictor` (needed only after a
+    ``Testbed`` is mutated in place)."""
+    _PREDICTORS.clear()
+
+
 def predict_plan_performance(
     testbed: Testbed, plans: Sequence[ChunkPlan]
 ) -> tuple[float, float]:
@@ -134,36 +226,20 @@ def predict_plan_performance(
     :func:`advise` and by the service layer's deadline-feasibility and
     SLA-class plan selection, so all three reason from the same model.
     """
+    predictor = plan_predictor(testbed)
     total_channels = sum(p.params.concurrency for p in plans)
     total_streams = sum(p.params.concurrency * p.params.parallelism for p in plans)
     demand = 0.0
     for plan in plans:
         if plan.params.concurrency <= 0 or plan.file_count == 0:
             continue
-        cap, _ = _channel_cap(testbed, plan.params.parallelism)
-        avg = plan.total_size / plan.file_count
-        efficiency = _pipelining_efficiency(testbed, avg, plan.params, cap)
+        cap, efficiency = predictor.channel_rate(
+            plan.params, plan.total_size / plan.file_count
+        )
         demand += plan.params.concurrency * cap * efficiency
     if demand <= 0:
         return 0.0, 0.0
-
-    link = tcp.aggregate_goodput(testbed.path, max(1, total_streams))
-    src_disk = testbed.source.server.disk.aggregate_capacity(max(1, total_channels))
-    dst_disk = testbed.destination.server.disk.aggregate_capacity(max(1, total_channels))
-    nic = min(testbed.source.server.nic_rate, testbed.destination.server.nic_rate)
-    aggregate = min(demand, link, src_disk, dst_disk, nic)
-
-    model = FineGrainedPowerModel(testbed.coefficients)
-    power = 0.0
-    for site in (testbed.source, testbed.destination):
-        util = compute_utilization(
-            site.server,
-            channels=max(1, total_channels),
-            streams=max(1, total_streams),
-            throughput=aggregate,
-        )
-        power += model.power(site.server, util)
-    return aggregate, power
+    return predictor.operating_point(demand, total_channels, total_streams)
 
 
 def advise(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.datasets.files import Dataset, FileInfo
 
@@ -39,8 +40,9 @@ class Chunk:
     def name(self) -> str:
         return self.chunk_class.name.lower()
 
-    @property
+    @cached_property
     def total_size(self) -> int:
+        """Sum of the chunk's file sizes (computed once: it is frozen)."""
         return sum(f.size for f in self.files)
 
     @property

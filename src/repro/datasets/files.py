@@ -10,6 +10,7 @@ consume (total size, count, average file size).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro import units
@@ -49,9 +50,10 @@ class Dataset:
     def __getitem__(self, index: int) -> FileInfo:
         return self.files[index]
 
-    @property
+    @cached_property
     def total_size(self) -> int:
-        """Sum of all file sizes in bytes."""
+        """Sum of all file sizes in bytes (computed once: the dataset
+        is frozen)."""
         return sum(f.size for f in self.files)
 
     @property

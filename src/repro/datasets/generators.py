@@ -53,22 +53,32 @@ def log_uniform_dataset(
     if total_size < max_size:
         raise ValueError("total_size must be at least max_size")
     rng = np.random.default_rng(seed)
-    sizes: list[int] = []
-    acc = 0.0
+    start = rng.bit_generator.state
     lo, hi = np.log(min_size), np.log(max_size)
-    while acc < total_size:
-        s = float(np.exp(rng.uniform(lo, hi)))
-        sizes.append(int(s))
-        acc += s
-    # Rescale multiplicatively, then absorb the integer remainder in the
-    # largest file so the dataset total is exact.
-    arr = np.array(sizes, dtype=float)
+    # Draw ``exp(uniform(lo, hi))`` until the running sum reaches the
+    # target, as vector draws: a trial draw finds the count (``cumsum``
+    # adds left to right, as a one-draw-per-file loop would), then the
+    # generator is rewound and draws exactly that many, so the shuffle
+    # below starts from the state such a loop leaves.
+    mean = (max_size - min_size) / (hi - lo) if hi > lo else min_size
+    trial = int(1.25 * total_size / mean) + 16
+    while True:
+        drawn = np.exp(rng.uniform(lo, hi, size=trial))
+        count = int(np.searchsorted(np.cumsum(drawn), total_size)) + 1
+        rng.bit_generator.state = start
+        if count <= trial:
+            break
+        trial *= 2
+    # Truncate each draw to whole bytes, rescale multiplicatively, then
+    # absorb the integer remainder in the largest file so the dataset
+    # total is exact.
+    arr = np.exp(rng.uniform(lo, hi, size=count)).astype(np.int64).astype(float)
     arr *= total_size / arr.sum()
     arr = np.maximum(arr.astype(np.int64), int(min_size))
     remainder = int(total_size) - int(arr.sum())
     arr[int(np.argmax(arr))] += remainder
     rng.shuffle(arr)
-    return Dataset.from_sizes([int(v) for v in arr], name=name)
+    return Dataset.from_sizes(arr.tolist(), name=name)
 
 
 def uniform_dataset(

@@ -139,31 +139,43 @@ class Channel:
         so channels chewing through many small files per step are
         handled exactly rather than one-file-per-step.
         """
+        return StepOutcome(*self._advance(rate, dt, queue))
+
+    def _advance(self, rate: float, dt: float, queue) -> tuple[float, int]:
+        """:meth:`advance` as a ``(bytes moved, files completed)`` pair
+        (the engine's per-step call, which needs no outcome object)."""
         if rate < 0 or dt < 0:
             raise ValueError("rate and dt must be >= 0")
-        outcome = StepOutcome()
+        # the state lives in locals for the loop and is stored back once
+        current = self.current
+        gap = self.gap_remaining
+        bytes_moved = 0.0
+        files_completed = 0
         time_left = dt
         while time_left > 1e-12:
-            if self.gap_remaining > 0.0:
-                consumed = min(self.gap_remaining, time_left)
-                self.gap_remaining -= consumed
+            if gap > 0.0:
+                consumed = time_left if time_left < gap else gap  # min()
+                gap -= consumed
                 time_left -= consumed
                 continue
-            if self.current is None and not self.take_from(queue):
-                break  # queue drained; channel idles out the step
-            assert self.current is not None
+            if current is None:
+                if not queue:
+                    break  # queue drained; channel idles out the step
+                current = queue.popleft()
             if rate <= 0.0:
                 break  # stalled by allocation; gap time still elapsed above
-            time_to_finish = self.current.remaining / rate
+            time_to_finish = current.remaining / rate
             if time_to_finish > time_left:
                 moved = rate * time_left
-                self.current.remaining -= moved
-                outcome.bytes_moved += moved
+                current.remaining -= moved
+                bytes_moved += moved
                 time_left = 0.0
             else:
-                outcome.bytes_moved += self.current.remaining
+                bytes_moved += current.remaining
                 time_left -= time_to_finish
-                self.current = None
-                outcome.files_completed += 1
-                self.gap_remaining = self.per_file_gap
-        return outcome
+                current = None
+                files_completed += 1
+                gap = self.per_file_gap
+        self.current = current
+        self.gap_remaining = gap
+        return bytes_moved, files_completed

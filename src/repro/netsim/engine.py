@@ -41,9 +41,11 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Callable, Iterable, Sequence
 from typing import Optional, Union
 
@@ -99,6 +101,8 @@ _COUNT_WALK_CAP = 512
 #: one shard's table) and 47 (chunky-day); power-group keys are fewer
 #: (128 on spray-deferral).
 _MEMO_CAP = 4096
+
+_file_size = operator.attrgetter("size")
 
 
 def accumulate_times(t0: float, dt: Seconds, k: int) -> np.ndarray:
@@ -203,8 +207,9 @@ class ChunkPlan:
         if not self.name:
             raise ValueError("chunk name must be non-empty")
 
-    @property
+    @cached_property
     def total_size(self) -> int:
+        """Sum of the plan's file sizes (computed once: it is frozen)."""
         return sum(f.size for f in self.files)
 
     @property
@@ -355,6 +360,9 @@ class TransferEngine:
         self.total_wire_bytes = 0.0
         self.total_energy = 0.0
         self.total_files = 0
+        #: Files registered across all chunks: the engine has finished
+        #: once ``total_files`` reaches it.
+        self._planned_files = 0
         self.trace: list[StepRecord] = []
         self._drained_logged: set[str] = set()
         self.chunks: dict[str, ChunkState] = {}
@@ -370,12 +378,17 @@ class TransferEngine:
         self._by_chunk: dict[str, list[Channel]] = {}
         #: Memoized rate allocations (see :meth:`_allocate_rates`) and,
         #: per busy signature, the source- and destination-side
-        #: ``(server, power kernel)`` pairs (see :meth:`_power_groups`).
-        #: Both keys hold everything the entry depends on besides the
-        #: fixed path, end systems and power model, so neither table is
-        #: cleared on a channel change and one simulator's engines
-        #: share them.
+        #: ``(server, power kernel)`` pairs and the wire factor (see
+        #: :meth:`_step_terms`). Both keys hold everything the entry
+        #: depends on besides the fixed path, end systems and power
+        #: model, so neither table is cleared on a channel change and
+        #: one simulator's engines share them.
         self._alloc_cache, self._power_memo = ({}, {}) if _memos is None else _memos
+        #: The busy list :meth:`_busy_signature` last keyed and its
+        #: signature: a round's allocation and advance key on the same
+        #: list, so it is built once per round (and dropped by the
+        #: advance, its last use).
+        self._signed: tuple[Optional[list[Channel]], tuple] = (None, ())
         self._spread_counter = 0
         #: Servers currently failed, mapped to their recovery time.
         self._down_servers: dict[tuple[str, int], float] = {}
@@ -422,13 +435,14 @@ class TransferEngine:
         """
         if plan.name in self.chunks:
             raise ValueError(f"duplicate chunk name: {plan.name!r}")
-        ordered = sorted(plan.files, key=lambda f: f.size, reverse=True)
+        ordered = sorted(plan.files, key=_file_size, reverse=True)
         state = ChunkState(
             plan=plan,
-            queue=deque(FileProgress.fresh(f) for f in ordered),
+            queue=deque([FileProgress(f, float(f.size)) for f in ordered]),
             min_queued_lb=float(ordered[-1].size) if ordered else math.inf,
         )
         self.chunks[plan.name] = state
+        self._planned_files += len(ordered)
         if open_channels:
             for _ in range(plan.params.concurrency):
                 self.open_channel(plan.name)
@@ -491,8 +505,10 @@ class TransferEngine:
             return max(0.0, bg(self.time))
         return max(0.0, float(bg))
 
-    def _available_servers(self, side: str) -> list[int]:
+    def _available_servers(self, side: str) -> Sequence[int]:
         count = (self.source if side == "src" else self.destination).server_count
+        if not self._down_servers:
+            return range(count)
         return [i for i in range(count) if (side, i) not in self._down_servers]
 
     def open_channel(self, chunk_name: str) -> Channel:
@@ -808,10 +824,15 @@ class TransferEngine:
 
     @property
     def finished(self) -> bool:
-        """True when every file of every chunk has fully transferred."""
-        return all(s.exhausted for s in self.chunks.values()) and not any(
-            c.busy for c in self._channels.values()
-        )
+        """True when every file of every chunk has fully transferred
+        (a file is queued, held by a channel or completed, so this is
+        every queue empty and no channel busy)."""
+        return self.total_files == self._planned_files
+
+    @property
+    def busy_streams(self) -> int:
+        """TCP streams of the channels that currently hold a file."""
+        return sum([c.parallelism for c in self._channels.values() if c.current is not None])
 
     @property
     def total_planned_bytes(self) -> Bytes:
@@ -1026,11 +1047,15 @@ class TransferEngine:
         else:
             self.macro_steps += 1
             dense = self._advance_dense(busy, rates, k)
-        total_streams = sum(c.parallelism for c in busy)
-        step_loss = tcp.loss_fraction(self.path, total_streams)
-        wire_factor = (1.0 + self.path.header_overhead) / max(1e-9, 1.0 - step_loss)
+        terms = self._step_terms(busy)
+        wire_factor = terms[2]
         log_files = self.observer is not None
 
+        chunks = self.chunks
+        # the running totals are summed in locals, in channel order
+        total_bytes = self.total_bytes
+        total_wire_bytes = self.total_wire_bytes
+        total_files = self.total_files
         moved_src: dict[int, float] = {}
         moved_dst: dict[int, float] = {}
         order = busy
@@ -1038,20 +1063,18 @@ class TransferEngine:
             # dense channels are accounted after the others, in busy order
             order = [c for c in busy if c not in dense] + list(dense)
         for channel in order:
+            state = chunks[channel.chunk_name]
             if dense and channel in dense:
                 bytes_moved, files_completed = dense[channel]
             else:
-                outcome = channel.advance(
-                    rates.get(id(channel), 0.0), span, self._effective_queue(channel)
+                bytes_moved, files_completed = channel._advance(
+                    rates.get(id(channel), 0.0), span, state.queue
                 )
-                bytes_moved = outcome.bytes_moved
-                files_completed = outcome.files_completed
-            state = self.chunks[channel.chunk_name]
             state.bytes_done += bytes_moved
             state.files_done += files_completed
-            self.total_bytes += bytes_moved
-            self.total_wire_bytes += bytes_moved * wire_factor
-            self.total_files += files_completed
+            total_bytes += bytes_moved
+            total_wire_bytes += bytes_moved * wire_factor
+            total_files += files_completed
             if files_completed and log_files:
                 self._log_event(
                     "file_completed", chunk=channel.chunk_name, count=files_completed
@@ -1065,8 +1088,11 @@ class TransferEngine:
             moved_dst[channel.dst_server] = (
                 moved_dst.get(channel.dst_server, 0.0) + bytes_moved
             )
+        self.total_bytes = total_bytes
+        self.total_wire_bytes = total_wire_bytes
+        self.total_files = total_files
 
-        power = self._instant_power(busy, moved_src, moved_dst, span)
+        power = self._instant_power(terms, moved_src, moved_dst, span) if busy else 0.0
         self.total_energy += power * span
         # Accumulate time exactly as the fixed stepper would (k repeated
         # additions), so the two modes agree on `time` to the last bit —
@@ -1141,10 +1167,10 @@ class TransferEngine:
                     jump = j
             if jump > 0:
                 for c in dense:
-                    out = c.advance(crates[id(c)], jump * dt, queues[id(c)])
+                    moved, completed = c._advance(crates[id(c)], jump * dt, queues[id(c)])
                     a = acc[c]
-                    a[0] += out.bytes_moved
-                    a[1] += out.files_completed
+                    a[0] += moved
+                    a[1] += completed
                 steps_left -= jump
                 if steps_left <= 0:
                     break
@@ -1153,10 +1179,10 @@ class TransferEngine:
                 if not c.busy:
                     c.take_from(queues[id(c)])
             for c in dense:
-                out = c.advance(crates[id(c)], dt, queues[id(c)])
+                moved, completed = c._advance(crates[id(c)], dt, queues[id(c)])
                 a = acc[c]
-                a[0] += out.bytes_moved
-                a[1] += out.files_completed
+                a[0] += moved
+                a[1] += completed
             steps_left -= 1
         return acc
 
@@ -1181,11 +1207,10 @@ class TransferEngine:
         steal work) and rate allocation. Feed the result to
         :meth:`stable_steps` / :meth:`advance_prepared`.
         """
-        self._recover_servers()
-        self._assign_work()
-        busy = [c for c in self._channels.values() if c.busy]
-        rates = self._allocate_rates(busy)
-        return busy, rates
+        if self._down_servers:
+            self._recover_servers()
+        busy = self._assign_work()
+        return busy, self._allocate_rates(busy)
 
     def count_stable_steps(self, rates: dict[int, float], max_steps: int) -> int:
         """Whole ``dt`` steps before this engine's *pre-assignment*
@@ -1305,8 +1330,10 @@ class TransferEngine:
         """The queue a channel draws from (its current chunk's)."""
         return self.chunks[channel.chunk_name].queue
 
-    def _assign_work(self) -> None:
-        """Give every idle channel a file before allocating rates.
+    def _assign_work(self) -> list[Channel]:
+        """Give every idle channel a file before allocating rates, and
+        return the channels that then hold one (the busy set), in
+        opening order.
 
         With work stealing on, an idle channel whose own chunk has
         drained is *re-allocated* to the chunk with the most remaining
@@ -1314,8 +1341,10 @@ class TransferEngine:
         as the custom GridFTP client reopens a freed channel against a
         different chunk (the paper's multi-chunk mechanism).
         """
+        busy: list[Channel] = []
         for channel in self._channels.values():
-            if channel.busy:
+            if channel.current is not None:
+                busy.append(channel)
                 continue
             own = self.chunks[channel.chunk_name].queue
             if not own and self.work_stealing:
@@ -1335,7 +1364,9 @@ class TransferEngine:
                     channel.parallelism = max(1, target.plan.params.parallelism)
                     channel.pipelining = max(1, target.plan.params.pipelining)
                     own = target.queue
-            channel.take_from(own)
+            if channel.take_from(own):
+                busy.append(channel)
+        return busy
 
     def _allocate_rates(self, busy: Sequence[Channel]) -> dict[int, float]:
         """Max-min fair (progressive-filling) rate allocation.
@@ -1358,14 +1389,14 @@ class TransferEngine:
             return {}
         competing = self._competing_streams()
         signature = (
-            tuple((c.parallelism, c.src_server, c.dst_server) for c in busy),
+            self._busy_signature(busy),
             competing,
             self._capacity_cap,
             self._link_scale,
         )
         cached = self._alloc_cache.get(signature)
         if cached is not None:
-            return {id(c): r for c, r in zip(busy, cached, strict=True)}
+            return dict(zip(map(id, busy), cached, strict=True))
 
         src_spec = self.source.server
         dst_spec = self.destination.server
@@ -1438,39 +1469,57 @@ class TransferEngine:
 
         return kernel
 
-    def _power_groups(self, busy: Sequence[Channel]) -> tuple:
-        """The busy servers of each side with their power kernels,
-        memoized on the ``(parallelism, src, dst)`` busy signature (the
-        channel and stream count per server are fixed by it)."""
-        signature = tuple((c.parallelism, c.src_server, c.dst_server) for c in busy)
-        groups = self._power_memo.get(signature)
-        if groups is None:
+    def _busy_signature(self, busy: list[Channel]) -> tuple:
+        """The per-channel ``(parallelism, src, dst)`` tuple of ``busy``.
+
+        The allocation and the step terms of one round both key on it,
+        for the same busy list (work assignment, which is what changes
+        a channel's parallelism, runs before that list is built), so
+        it is kept for the last list it was built for.
+        """
+        signed, signature = self._signed
+        if signed is not busy:
+            signature = tuple([(c.parallelism, c.src_server, c.dst_server) for c in busy])
+            self._signed = (busy, signature)
+        return signature
+
+    def _step_terms(self, busy: list[Channel]) -> tuple:
+        """The busy servers of each side with their power kernels, and
+        the wire bytes per payload byte, memoized on the busy signature
+        (it fixes each server's channel and stream count, and the total
+        stream count the loss rate depends on)."""
+        signature = self._busy_signature(busy)
+        self._signed = (None, ())  # the round's last use of its busy list
+        terms = self._power_memo.get(signature)
+        if terms is None:
             kernel_fn = self._kernel_fn or self._generic_kernel
-            groups = tuple(
+            src_groups, dst_groups = (
                 tuple(
                     (idx, kernel_fn(site.server, len(chans), sum(c.parallelism for c in chans)))
                     for idx, chans in _group_by_server(busy, attr).items()
                 )
                 for site, attr in ((self.source, "src_server"), (self.destination, "dst_server"))
             )
+            step_loss = tcp.loss_fraction(self.path, sum(c.parallelism for c in busy))
+            wire_factor = (1.0 + self.path.header_overhead) / max(1e-9, 1.0 - step_loss)
+            terms = (src_groups, dst_groups, wire_factor)
             if len(self._power_memo) >= _MEMO_CAP:
                 self._power_memo.clear()
-            self._power_memo[signature] = groups
-        return groups
+            self._power_memo[signature] = terms
+        return terms
 
     def _instant_power(
         self,
-        busy: Sequence[Channel],
+        terms: tuple,
         moved_src: dict[int, float],
         moved_dst: dict[int, float],
         interval: float,
     ) -> float:
         """Total load-dependent watts across both sites over
         ``interval`` seconds of carried load (``interval`` is ``dt``
-        for a fixed step, the whole span for a macro-step)."""
-        if not busy:
-            return 0.0
-        src_groups, dst_groups = self._power_groups(busy)
+        for a fixed step, the whole span for a macro-step), for a busy
+        set whose :meth:`_step_terms` are ``terms``."""
+        src_groups, dst_groups, _wire = terms
         power = 0.0
         ce = self.component_energy
         attribute = self._kernel_fn is not None

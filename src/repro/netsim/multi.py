@@ -314,10 +314,6 @@ class MultiTransferSimulator:
                 key[0], key[1], until=(until - self.time) + engine.time
             )
 
-    @staticmethod
-    def _busy_streams(engine: TransferEngine) -> int:
-        return sum(c.parallelism for c in engine.channels if c.busy)
-
     def _release_flow(self, record: JobRecord) -> None:
         """Free a completed job's route (placer load bookkeeping)."""
         if self._placer is None:
@@ -725,7 +721,7 @@ class MultiTransferSimulator:
         """Advance every running job one shared time step."""
         self._admit_jobs()
         running = self._running()
-        counts = [self._busy_streams(engine) for _, engine in running]
+        counts = [engine.busy_streams for _, engine in running]
         backgrounds = self._backgrounds(running, counts, sum(counts))
         for (_record, engine), background in zip(running, backgrounds):
             engine.set_background_streams(background)
@@ -815,7 +811,7 @@ class MultiTransferSimulator:
                         break
             n = len(running)
             engines = [engine for _record, engine in running]
-            counts0 = [self._busy_streams(engine) for engine in engines]
+            counts0 = [engine.busy_streams for engine in engines]
             total0 = sum(counts0)
             backgrounds = self._backgrounds(running, counts0, total0)
             for i, engine in enumerate(engines):

@@ -40,7 +40,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.advisor import predict_plan_performance
+from repro.core.advisor import (
+    plan_predictor,
+    plan_predictor_clear,
+    predict_plan_performance,
+)
 from repro.core.allocation import chunk_params, htee_weights
 from repro.core.chunks import PartitionPolicy, partition_files
 from repro.core.htee import probe_ladder, scaled_allocation
@@ -147,12 +151,15 @@ def plan_cache_info() -> dict[str, int]:
 
 
 def plan_cache_clear() -> None:
-    """Drop every memoized plan and reset the hit/miss counters.
+    """Drop every memoized plan and per-testbed
+    :class:`~repro.core.advisor.PlanPredictor`, and reset the hit/miss
+    counters.
 
     Call this after mutating a :class:`Testbed` in place — cache keys
     carry testbed *identity*, which cannot observe in-place edits.
     """
     _PLAN_CACHE.clear()
+    plan_predictor_clear()
 
 
 #: One portable (picklable, identity-free) warm-start entry: the cache
@@ -240,26 +247,47 @@ def _balanced_plans(
     testbed: Testbed, request: TransferRequest, max_channels: int,
     policy: PartitionPolicy,
 ) -> list[ChunkPlan]:
-    """HTEE weighting, concurrency by closed-form efficiency argmax."""
+    """HTEE weighting, concurrency by closed-form efficiency argmax.
+
+    A chunk's pipelining, parallelism, channel cap and pipelining
+    efficiency do not depend on its channel count, so they are computed
+    once; each ladder rung only re-splits the channels and scores the
+    totals, exactly as :func:`predict_plan_performance` would score that
+    rung's plans. Plans are built for the winning rung alone.
+    """
     bdp = testbed.path.bdp
+    buffer = testbed.path.tcp_buffer
     chunks = partition_files(request.dataset, bdp, policy)
     weights = htee_weights(chunks)
-    best_plans: Optional[list[ChunkPlan]] = None
+    predictor = plan_predictor(testbed)
+    params = [chunk_params(chunk, bdp, buffer, 0) for chunk in chunks]
+    rates = [
+        predictor.channel_rate(p, chunk.total_size / chunk.file_count)
+        for chunk, p in zip(chunks, params, strict=True)
+    ]
+    best_allocation: Optional[list[int]] = None
     best_score = -math.inf
     for cc in probe_ladder(max_channels):
         allocation = scaled_allocation(weights, cc)
-        params = [
-            chunk_params(chunk, bdp, testbed.path.tcp_buffer, alloc)
-            for chunk, alloc in zip(chunks, allocation, strict=True)
-        ]
-        plans = make_plans(chunks, params)
-        throughput, power = predict_plan_performance(testbed, plans)
-        score = throughput / power if power > 0 else 0.0
+        streams = 0
+        demand = 0.0
+        for alloc, p, (cap, efficiency) in zip(allocation, params, rates, strict=True):
+            streams += alloc * p.parallelism
+            if alloc > 0:
+                demand += alloc * cap * efficiency
+        score = 0.0
+        if demand > 0:
+            throughput, power = predictor.operating_point(demand, cc, streams)
+            if power > 0:
+                score = throughput / power
         if score > best_score + 1e-12:  # ties favor the lower concurrency
             best_score = score
-            best_plans = plans
-    assert best_plans is not None
-    return best_plans
+            best_allocation = allocation
+    assert best_allocation is not None
+    return make_plans(chunks, [
+        chunk_params(chunk, bdp, buffer, alloc)
+        for chunk, alloc in zip(chunks, best_allocation, strict=True)
+    ])
 
 
 def _sla_plans(

@@ -671,27 +671,32 @@ class ServiceSimulator:
             placement_seed=self.placement_seed,
             observer=self.observer,
         )
-        if self.fast:
-            truncated = self._run_fast(states, sim, max_time, actions, on_timeout)
-        else:
-            truncated = self._run_grid(states, sim, max_time, actions, on_timeout)
-        # close the day's coalesced allocation-cache stretch (if any)
-        sim.flush_topo_events()
-        report = ServiceReport(
-            testbed=self.testbed.name,
-            policy=self.policy.name,
-            tariff=self.tariff.name,
-            jobs=[s.result for s in sorted(states, key=lambda s: s.seq)],
-            makespan_s=sim.makespan,
-            truncated=truncated,
-            topology=(
-                None if sim.topology is None
-                else (self.topology if isinstance(self.topology, str)
-                      else sim.topology.name)
-            ),
-            placement=None if sim.topology is None else self.placement,
-        )
-        return report
+        # a TariffSwap intervention replaces ``self.tariff`` mid-day; the
+        # day's own tariff is put back once the report is built
+        tariff = self.tariff
+        try:
+            if self.fast:
+                truncated = self._run_fast(states, sim, max_time, actions, on_timeout)
+            else:
+                truncated = self._run_grid(states, sim, max_time, actions, on_timeout)
+            # close the day's coalesced allocation-cache stretch (if any)
+            sim.flush_topo_events()
+            return ServiceReport(
+                testbed=self.testbed.name,
+                policy=self.policy.name,
+                tariff=self.tariff.name,
+                jobs=[s.result for s in sorted(states, key=lambda s: s.seq)],
+                makespan_s=sim.makespan,
+                truncated=truncated,
+                topology=(
+                    None if sim.topology is None
+                    else (self.topology if isinstance(self.topology, str)
+                          else sim.topology.name)
+                ),
+                placement=None if sim.topology is None else self.placement,
+            )
+        finally:
+            self.tariff = tariff
 
     def _apply_interventions(
         self,

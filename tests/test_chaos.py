@@ -280,6 +280,34 @@ class TestInterventionTiming:
             ats.append(fired[0].detail["detail"]["at"])
         assert ats[0] == ats[1]
 
+    def test_tariff_swap_stays_in_its_run(self):
+        """A swapped tariff reprices its own run only: the next plain
+        run on the same simulator bills what a fresh one bills."""
+        from repro.service.requests import workload_by_name
+        from repro.service.tariff import flat_tariff
+
+        testbed = _testbed_by_name("didclab")
+        requests = workload_by_name(
+            "steady", 4, day_s=600.0, seed=1, size_scale=600.0 / 86400.0
+        )
+
+        def service() -> ServiceSimulator:
+            return ServiceSimulator(
+                testbed, policy=policy_by_name("run-now"),
+                tariff=flat_tariff(period_s=600.0),
+            )
+
+        reused = service()
+        swapped = reused.run(
+            requests, interventions=(TariffSwap(0.0, flat_tariff(price=1.0)),)
+        )
+        again = reused.run(requests)
+        fresh = service().run(requests)
+        assert swapped.total_cost_usd == pytest.approx(1.31e-05, rel=0.01)
+        assert fresh.total_cost_usd == pytest.approx(1.05e-06, rel=0.01)
+        assert again.total_cost_usd == fresh.total_cost_usd
+        assert reused.tariff.name == "flat"
+
 
 # ----------------------------------------------------------------------
 # satellite 2: mid-file channel-cut resume, fast vs fixed-dt

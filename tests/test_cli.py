@@ -132,15 +132,28 @@ class TestCommands:
         (["fleet-service", "--max-per-tenant", "0"], "max_per_tenant must be >= 1"),
         (["fleet-service", "--routing", "topology-aware"],
          "topology-aware routing requires a fleet topology spec"),
+        (["chaos", "-s", "brownout", "-p", "run-now", "--max-concurrent", "0",
+          "--jobs", "4", "--day", "600"], "max_concurrent_jobs must be >= 1"),
     ], ids=[
         "service-max-concurrent", "service-jobs", "service-day",
         "fleet-shards", "fleet-workers", "fleet-max-per-tenant",
-        "fleet-topology-aware-without-topology",
+        "fleet-topology-aware-without-topology", "chaos-max-concurrent",
     ])
     def test_day_out_of_range_exits_2(self, argv, message, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        "dataset", "transfer", "sweep", "sla", "advise", "fleet", "service",
+        "fleet-service", "chaos", "topo", "pareto", "report",
+    ])
+    def test_unknown_testbed_exits_2(self, command, capsys):
+        assert main([command, "-t", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("unknown testbed 'nope'; known: ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_pareto(self, capsys):
