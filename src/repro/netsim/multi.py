@@ -243,10 +243,12 @@ class MultiTransferSimulator:
 
     def _running(self) -> list[tuple[JobRecord, TransferEngine]]:
         active = self._active
-        if any(record.finished for record, _ in active):
-            self._active = active = [
-                pair for pair in active if not pair[0].finished
-            ]
+        for record, _engine in active:
+            if record.finished:
+                self._active = active = [
+                    pair for pair in active if not pair[0].finished
+                ]
+                break
         return active
 
     def _sort_unstarted(self) -> None:
@@ -265,6 +267,8 @@ class MultiTransferSimulator:
         if not self._unstarted:
             return
         self._sort_unstarted()
+        if self._unstarted[0][0].arrival_time > self.time + 1e-12:
+            return  # nothing has arrived yet
         slots = (
             self.max_concurrent_jobs - len(self._running())
             if self.max_concurrent_jobs is not None
@@ -769,8 +773,8 @@ class MultiTransferSimulator:
           completes — unless ``count_stable_steps`` allows more;
         * no queued arrival becomes admittable mid-span.
 
-        Time advances by the same repeated ``+= dt`` additions as the
-        grid loop (``dt`` is a power of two), so round boundaries and
+        Time advances through ``advance_clock``, bit-equal to the grid
+        loop's repeated ``+= dt`` additions, so round boundaries and
         completion timestamps are bit-equal to grid stepping. The
         method returns at the first completion so the caller can bill
         and re-admit at the completion's grid time, exactly as a
@@ -814,11 +818,11 @@ class MultiTransferSimulator:
             counts0 = [engine.busy_streams for engine in engines]
             total0 = sum(counts0)
             backgrounds = self._backgrounds(running, counts0, total0)
-            for i, engine in enumerate(engines):
-                engine.set_background_streams(backgrounds[i])
+            for engine, background in zip(engines, backgrounds):
+                engine.set_background_streams(background)
             self._impose_caps(running)
             prepared_busy: list[list[Channel]] = []
-            prepared_rates: list[dict[int, float]] = []
+            prepared_rates: list[tuple[float, ...]] = []
             for engine in engines:
                 busy, rates = engine.prepare_step()
                 prepared_busy.append(busy)
@@ -855,10 +859,7 @@ class MultiTransferSimulator:
                 # can find every channel file-less. A span with no dip
                 # at all (``count_stable_steps``) is safe as well.
                 rates = prepared_rates[0]
-                t_all = max(
-                    c.time_to_completion(rates.get(id(c), 0.0))
-                    for c in prepared_busy[0]
-                )
+                t_all = engines[0].last_completion_time(prepared_busy[0], rates)
                 if t_all < math.inf:
                     k_all = math.ceil((t_all - 1e-9) / dt)
                     if k_all < k:
@@ -869,10 +870,12 @@ class MultiTransferSimulator:
                 # Work assignment refilled or re-bound a channel: the
                 # count the peers sample next round already differs
                 # from the frozen one, so only one exact step is safe.
-                refilled = any(
-                    sum(c.parallelism for c in busy) != counts0[i]
-                    for i, busy in enumerate(prepared_busy)
-                )
+                # (``busy_streams`` now reads work assignment's count.)
+                refilled = False
+                for engine, count in zip(engines, counts0):
+                    if engine.busy_streams != count:
+                        refilled = True
+                        break
                 if refilled:
                     if n > 1 or capped or self._would_bind(running):
                         k, bound = 1, "refill"
@@ -897,7 +900,7 @@ class MultiTransferSimulator:
                 before_energy = engine.total_energy
                 engine.advance_prepared(prepared_busy[i], prepared_rates[i], k)
                 record.energy_joules += engine.total_energy - before_energy
-            # repeated addition: bit-equal to grid time
+            # bit-equal to the grid's repeated additions
             self.time = advance_clock(self.time, dt, k)
             if k > 1:
                 self.macro_rounds += 1

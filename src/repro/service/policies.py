@@ -233,9 +233,12 @@ def _cache_key(
     )
 
 
-def _estimate(testbed: Testbed, plans: list[ChunkPlan]) -> tuple[Seconds, Joules]:
-    """(duration seconds, energy joules) from the closed-form predictor."""
-    throughput, power = predict_plan_performance(testbed, plans)
+def _estimate(
+    plans: list[ChunkPlan], point: tuple[float, float]
+) -> tuple[Seconds, Joules]:
+    """(duration seconds, energy joules) of ``plans`` at their predicted
+    ``(throughput bytes/s, power watts)`` operating point."""
+    throughput, power = point
     total = sum(p.total_size for p in plans)
     if throughput <= 0 or total <= 0:
         return 0.0, 0.0
@@ -246,14 +249,16 @@ def _estimate(testbed: Testbed, plans: list[ChunkPlan]) -> tuple[Seconds, Joules
 def _balanced_plans(
     testbed: Testbed, request: TransferRequest, max_channels: int,
     policy: PartitionPolicy,
-) -> list[ChunkPlan]:
+) -> tuple[list[ChunkPlan], tuple[float, float]]:
     """HTEE weighting, concurrency by closed-form efficiency argmax.
 
     A chunk's pipelining, parallelism, channel cap and pipelining
     efficiency do not depend on its channel count, so they are computed
     once; each ladder rung only re-splits the channels and scores the
     totals, exactly as :func:`predict_plan_performance` would score that
-    rung's plans. Plans are built for the winning rung alone.
+    rung's plans. Plans are built for the winning rung alone, and are
+    returned with its ``(throughput, power)`` — the prediction of those
+    plans, so the estimate needs no second one.
     """
     bdp = testbed.path.bdp
     buffer = testbed.path.tcp_buffer
@@ -266,6 +271,7 @@ def _balanced_plans(
         for chunk, p in zip(chunks, params, strict=True)
     ]
     best_allocation: Optional[list[int]] = None
+    best_point = (0.0, 0.0)
     best_score = -math.inf
     for cc in probe_ladder(max_channels):
         allocation = scaled_allocation(weights, cc)
@@ -276,18 +282,22 @@ def _balanced_plans(
             if alloc > 0:
                 demand += alloc * cap * efficiency
         score = 0.0
+        point = (0.0, 0.0)  # what the predictor gives a demandless plan
         if demand > 0:
-            throughput, power = predictor.operating_point(demand, cc, streams)
+            point = predictor.operating_point(demand, cc, streams)
+            throughput, power = point
             if power > 0:
                 score = throughput / power
         if score > best_score + 1e-12:  # ties favor the lower concurrency
             best_score = score
             best_allocation = allocation
+            best_point = point
     assert best_allocation is not None
-    return make_plans(chunks, [
+    plans = make_plans(chunks, [
         chunk_params(chunk, bdp, buffer, alloc)
         for chunk, alloc in zip(chunks, best_allocation, strict=True)
     ])
+    return plans, best_point
 
 
 def _sla_plans(
@@ -355,13 +365,15 @@ def plan_for(
         plans = MinEAlgorithm(policy=partition_policy).plan(
             testbed, request.dataset, max_channels
         )
+        point = predict_plan_performance(testbed, plans)
     elif kind == "balanced":
         algorithm = "HTEE-static"
-        plans = _balanced_plans(testbed, request, max_channels, partition_policy)
+        plans, point = _balanced_plans(testbed, request, max_channels, partition_policy)
     else:
         algorithm = "SLAEE-static"
         plans = _sla_plans(testbed, request, partition_policy)
-    duration, energy = _estimate(testbed, plans)
+        point = predict_plan_performance(testbed, plans)
+    duration, energy = _estimate(plans, point)
     plans_tuple = tuple(plans)
     if key is not None:
         _PLAN_CACHE.put(key, (algorithm, plans_tuple, duration, energy, testbed))

@@ -252,7 +252,7 @@ class TestEventStepInSpan:
         busy, rates = engine.prepare_step()
         if completes_at is not None:
             (channel,) = busy
-            rate = rates[id(channel)]
+            (rate,) = rates  # aligned with busy
             channel.gap_remaining = completes_at - channel.current.remaining / rate
             assert channel.gap_remaining >= 0.0
         return engine, busy, rates

@@ -9,7 +9,11 @@ and requires exact equality with the library, request by request:
   ``compute_utilization`` and ``FineGrainedPowerModel.power`` (a
   zero-power testbed makes every rung tie, which pins the tie rule);
 * ``log_uniform_dataset`` draws its sizes as vectors; the oracle draws
-  one scalar uniform per file.
+  one scalar uniform per file;
+* the engine's drain lower bound reads a chunk's busy channels, rates
+  and completion times from the round's view, in busy order; the
+  oracle walks the chunk's channel registry and looks each rate up by
+  channel id, as the bound did when rates were a dict.
 
 The oracles are compared by ``repr`` / list equality, not by a stored
 digest, so the contract is "same numbers as the plain code on this
@@ -18,6 +22,7 @@ interpreter", whatever its float summation does in the last bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -30,8 +35,11 @@ from repro.core.htee import probe_ladder, scaled_allocation
 from repro.core.mine import MinEAlgorithm
 from repro.core.scheduler import make_plans
 from repro.core.slaee import sla_allocation
+from repro.datasets.files import FileInfo
 from repro.datasets.generators import log_uniform_dataset
 from repro.netsim import tcp
+from repro.netsim.engine import ChunkPlan
+from repro.netsim.params import TransferParams
 from repro.netsim.utilization import compute_utilization
 from repro.power.models import FineGrainedPowerModel
 from repro.service.policies import plan_for
@@ -211,3 +219,49 @@ def test_log_uniform_sizes_match_scalar_draws():
         assert got == _oracle_sizes(total, min_size, max_size, seed), (
             total, min_size, max_size, seed,
         )
+
+
+# ----------------------------------------------------------------------
+# the drain lower bound vs the registry walk with rates by channel id
+# ----------------------------------------------------------------------
+
+
+def _oracle_drain_bound(engine, name, rate_of) -> float:
+    """The long-queue analytic drain bound of chunk ``name``, walking
+    the chunk's channel registry with each rate looked up by id."""
+    state = engine.chunks[name]
+    merged = []
+    for c in engine.channels_for(name):
+        rate = rate_of.get(id(c), 0.0)
+        if rate <= 0.0 or c.current is None:
+            continue
+        first = c.gap_remaining + c.current.remaining / rate
+        merged.append((first, c.per_file_gap + state.min_queued_lb / rate))
+    f_min = min(first for first, _ in merged)
+    per_sec = sum(1.0 / spacing for _, spacing in merged)
+    return f_min + max(0.0, (len(state.queue) - len(merged)) / per_sec)
+
+
+def test_drain_bound_sums_in_registry_order(make_small_engine):
+    """Work stealing can put a chunk's busy channels in another order
+    than its registry; the bound still adds ``1/spacing`` in registry
+    order. The rates are picked so that the order changes the sum."""
+    engine = make_small_engine()
+    files = tuple(FileInfo(f"f{i}", (1 + i % 7) * 1_000_000) for i in range(80))
+    engine.add_chunk(ChunkPlan("c", files, TransferParams(concurrency=3, pipelining=2)))
+    busy, _rates = engine.prepare_step()
+    state = engine.chunks["c"]
+    assert len(busy) == 3 and len(state.queue) > 64
+    rates = (1.0, 3e7, 5e7)  # registry order: busy[i] at rates[i]
+    spacing = [busy[0].per_file_gap + state.min_queued_lb / r for r in rates]
+    registry_sum = sum(1.0 / s for s in spacing)
+    order = next(
+        p for p in itertools.permutations(range(3))
+        if sum(1.0 / spacing[i] for i in p) != registry_sum
+    )
+    chans = [busy[i] for i in order]
+    crates = [rates[i] for i in order]
+    ttcs = [c.time_to_completion(r) for c, r in zip(chans, crates)]
+    got = engine._drain_lower_bound(state, chans, crates, ttcs, math.inf)
+    want = _oracle_drain_bound(engine, "c", {id(c): r for c, r in zip(busy, rates)})
+    assert repr(got) == repr(want)
