@@ -15,6 +15,7 @@ and policy (the jobs are deterministic).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -66,6 +67,8 @@ class JobClass:
     start_hour: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.jobs_per_day):
+            raise ValueError(f"jobs_per_day must be finite, got {self.jobs_per_day}")
         if self.jobs_per_day < 0:
             raise ValueError("jobs_per_day must be >= 0")
         if self.sla_level is not None and not (0 < self.sla_level <= 1):

@@ -41,7 +41,7 @@ class StepOutcome:
     files_completed: int = 0
 
 
-@dataclass(eq=False)  # identity semantics: two channels are never "equal"
+@dataclass(eq=False, slots=True)  # identity semantics: two channels are never "equal"
 class Channel:
     """One live data channel bound to a chunk and a server pair.
 
@@ -63,6 +63,16 @@ class Channel:
     control_rtt_factor: float = 2.5
     current: Optional[FileProgress] = None
     gap_remaining: float = field(default=0.0)
+    #: Control-channel stall after each file completion (seconds).
+    #: Without pipelining every file pays ``control_rtt_factor`` RTTs
+    #: of control-channel exchange; pipelining level ``pp`` keeps
+    #: ``pp`` requests in flight, overlapping that exchange with the
+    #: next transfers, so each file pays ``factor * RTT / pp`` on
+    #: average. The end-system per-file overhead (``file_overhead``,
+    #: filesystem metadata etc.) cannot be pipelined away. Computed at
+    #: construction and by :meth:`retune`, the one way a channel's
+    #: pipelining changes.
+    per_file_gap: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.parallelism < 1 or self.pipelining < 1:
@@ -72,19 +82,20 @@ class Channel:
         # Opening a channel costs a control-channel round trip before the
         # first byte flows (connection establishment + authentication).
         self.gap_remaining = self.rtt + self.setup_delay
+        self.per_file_gap = self._file_gap()
 
-    @property
-    def per_file_gap(self) -> float:
-        """Control-channel stall after each file completion.
-
-        Without pipelining every file pays ``control_rtt_factor`` RTTs
-        of control-channel exchange; pipelining level ``pp`` keeps
-        ``pp`` requests in flight, overlapping that exchange with the
-        next transfers, so each file pays ``factor * RTT / pp`` on
-        average. The end-system per-file overhead (``file_overhead``,
-        filesystem metadata etc.) cannot be pipelined away.
-        """
+    def _file_gap(self) -> float:
         return self.control_rtt_factor * self.rtt / self.pipelining + self.file_overhead
+
+    def retune(self, chunk_name: str, parallelism: int, pipelining: int) -> None:
+        """Re-bind the channel to another chunk's transfer parameters
+        (work stealing) and recompute its :attr:`per_file_gap`."""
+        if parallelism < 1 or pipelining < 1:
+            raise ValueError("parallelism and pipelining must be >= 1")
+        self.chunk_name = chunk_name
+        self.parallelism = parallelism
+        self.pipelining = pipelining
+        self.per_file_gap = self._file_gap()
 
     @property
     def transferring(self) -> bool:

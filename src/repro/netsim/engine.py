@@ -358,6 +358,14 @@ class TransferEngine:
         #: O(1) membership/removal; the public ``channels`` property
         #: materializes the ordered list.
         self._channels: dict[int, Channel] = {}
+        #: Bumped by every channel open and close, so a coordinator can
+        #: tell whether the channel set changed between two rounds.
+        self.channel_version = 0
+        #: True once work assignment has found every chunk queue empty.
+        #: Only :meth:`add_chunk` and :meth:`close_channel` put files
+        #: back in a queue (the rest only pop), so they clear it; while
+        #: it holds, an idle channel has nothing to steal.
+        self._queues_drained = False
         #: Per-chunk channel registry (chunk name -> ordered channels),
         #: kept in sync by open/close/reassign.
         self._by_chunk: dict[str, list[Channel]] = {}
@@ -446,6 +454,8 @@ class TransferEngine:
         )
         self.chunks[plan.name] = state
         self._planned_files += len(ordered)
+        if ordered:
+            self._queues_drained = False
         if open_channels:
             for _ in range(plan.params.concurrency):
                 self.open_channel(plan.name)
@@ -545,6 +555,7 @@ class TransferEngine:
         )
         self._channels[id(channel)] = channel
         self._by_chunk.setdefault(chunk_name, []).append(channel)
+        self.channel_version += 1
         self._log_event("channel_opened",
                         chunk=chunk_name, src_server=src, dst_server=dst)
         return channel
@@ -554,9 +565,11 @@ class TransferEngine:
         state = self.chunks[channel.chunk_name]
         if channel.current is not None:
             state.min_queued_lb = min(state.min_queued_lb, channel.current.remaining)
+            self._queues_drained = False
         channel.release_to(state.queue)
         del self._channels[id(channel)]
         self._by_chunk[channel.chunk_name].remove(channel)
+        self.channel_version += 1
         # the one change outside a round that can drop a held file:
         # recount on the next read (an opened channel holds none)
         self._busy_streams = None
@@ -1441,9 +1454,11 @@ class TransferEngine:
         for channel in self._channels.values():
             if channel.current is None:
                 own = self.chunks[channel.chunk_name].queue
-                if not own and self.work_stealing:
+                if not own and self.work_stealing and not self._queues_drained:
                     candidates = [s for s in self.chunks.values() if s.queue]
-                    if candidates:
+                    if not candidates:
+                        self._queues_drained = True
+                    else:
                         target = max(
                             candidates, key=lambda s: sum(fp.remaining for fp in s.queue)
                         )
@@ -1454,9 +1469,11 @@ class TransferEngine:
                         )
                         self._by_chunk[channel.chunk_name].remove(channel)
                         self._by_chunk.setdefault(target.plan.name, []).append(channel)
-                        channel.chunk_name = target.plan.name
-                        channel.parallelism = max(1, target.plan.params.parallelism)
-                        channel.pipelining = max(1, target.plan.params.pipelining)
+                        channel.retune(
+                            target.plan.name,
+                            max(1, target.plan.params.parallelism),
+                            max(1, target.plan.params.pipelining),
+                        )
                         own = target.queue
                 if not channel.take_from(own):
                     continue

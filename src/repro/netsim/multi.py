@@ -37,6 +37,7 @@ from repro.topo.alloc import (
     AllocationResult,
     FlowDemand,
     alloc_cache_info,
+    carry,
     refill,
 )
 from repro.topo.core import Path, Topology, build_topology
@@ -154,14 +155,16 @@ class MultiTransferSimulator:
         #: Change-detection state for the topology observer events.
         self._congested_flows: set[str] = set()
         self._last_loads: dict[str, float] = {}
-        #: Round-level allocation reuse (DESIGN.md §5h): the signature
-        #: the imposed caps were computed under — ``(topology version,
-        #: per-flow (name, path, demand) tuple)`` — plus the imposed
-        #: :class:`AllocationResult` itself so the next changed round
-        #: can :func:`~repro.topo.alloc.refill` instead of re-solving.
-        self._alloc_sig: Optional[tuple] = None
+        #: Round-level allocation reuse (DESIGN.md §5h): the imposed
+        #: :class:`AllocationResult` and the topology version it was
+        #: computed under, so the next round can carry it or
+        #: :func:`~repro.topo.alloc.refill` from it instead of
+        #: re-solving.
         self._alloc_prev: Optional[AllocationResult] = None
         self._alloc_version = -1
+        #: Set by a pinned lone-flow round of :meth:`run_until` for the
+        #: next round (see :meth:`_pinned_key`); ``None`` otherwise.
+        self._hold: Optional[tuple] = None
         #: Coalesced ``allocation_cached`` stretch (start time and
         #: cache-served round count), flushed on the first non-cached
         #: round and by :meth:`flush_topo_events`.
@@ -416,19 +419,30 @@ class MultiTransferSimulator:
         ``count_stable_steps``), hence so are the demands and the caps:
         freezing them across the span is exact, not approximate.
 
-        Rounds are keyed on ``(topology version, per-flow (name, path,
-        demand))``. An unchanged signature skips the allocator
-        entirely — the caps already imposed *are* the fixed point for
-        these inputs (caps are a pure function of demands, paths and
-        capacities, and nothing else touches
-        ``engine.set_capacity_cap``) — so a stretch of frozen rounds
-        never re-allocates at all. A changed signature re-solves
-        through :func:`~repro.topo.alloc.refill`, splicing untouched
-        interference components from the previous round's result.
+        The same caps come three ways, cheapest first (DESIGN.md §5h,
+        "The topology round"): the *hold* — the round after a pinned
+        lone-flow round of :meth:`run_until` keeps the cap without
+        reading the demand while :meth:`_pinned_key` is unchanged (its
+        busy set is a non-empty subset of the pinned set, so its demand
+        clears the floor and the cap); the *carry*
+        (:func:`~repro.topo.alloc.carry`), under which the caps already
+        imposed stay exact; else :func:`~repro.topo.alloc.refill` from
+        the previous result.
         """
         if self._placer is None:
             return
-        flows: list[FlowDemand] = []
+        assert self.topology is not None
+        version = self.topology.version
+        hold, self._hold = self._hold, None
+        if (
+            hold is not None
+            and len(running) == 1
+            and running[0][1].busy_streams > 0
+            and hold == self._pinned_key(running[0][1])
+        ):
+            self._note_alloc_round(hits=1, misses=0, incremental=0)
+            return
+        flows: list[tuple[str, tuple[str, ...], float, float]] = []
         members: list[tuple[JobRecord, TransferEngine, Path]] = []
         for record, engine in running:
             path = self._flow_paths.get(record.name)
@@ -440,24 +454,26 @@ class MultiTransferSimulator:
                 # the first step's work assignment
                 engine.set_capacity_cap(None)
                 continue
-            flows.append(FlowDemand(record.name, path.bottlenecks, demand))
+            flows.append((record.name, path.bottlenecks, demand, 1.0))
             members.append((record, engine, path))
         if not flows:
             # Any previously imposed caps were reset above (or their
             # flows completed): the next non-empty round must re-impose
-            # from scratch, not signature-skip against stale caps.
-            self._alloc_sig = None
+            # from scratch, not carry stale caps.
             self._alloc_prev = None
             return
-        assert self.topology is not None
-        version = self.topology.version
-        sig = (version, tuple((f.flow, f.path, f.demand) for f in flows))
-        if sig == self._alloc_sig:
+        prev = self._alloc_prev if self._alloc_version == version else None
+        carried = carry(prev, flows) if prev is not None else None
+        if carried is not None:
+            self._alloc_prev = carried
             self._note_alloc_round(hits=1, misses=0, incremental=0)
             return
-        prev = self._alloc_prev if self._alloc_version == version else None
         info0 = alloc_cache_info()
-        result = refill(self.topology, flows, prev)
+        result = refill(
+            self.topology,
+            [FlowDemand(name, path, demand) for name, path, demand, _ in flows],
+            prev,
+        )
         info1 = alloc_cache_info()
         hits = info1.hits - info0.hits
         misses = info1.misses - info0.misses
@@ -467,7 +483,6 @@ class MultiTransferSimulator:
             misses=0 if served else 1,
             incremental=1 if prev is not None and not served else 0,
         )
-        self._alloc_sig = sig
         self._alloc_prev = result
         self._alloc_version = version
         observer = self.observer
@@ -497,6 +512,19 @@ class MultiTransferSimulator:
                         capacity=self.topology.capacity(hop),
                         flows=result.bottleneck_flows[hop], rate=load,
                     )
+
+    def _pinned_key(self, engine: TransferEngine) -> tuple:
+        """What a lone flow's demand floor and cap read besides its busy
+        channels: the engine, the topology version, its competing
+        streams, its link scale and its channel set."""
+        assert self.topology is not None
+        return (
+            engine,
+            self.topology.version,
+            engine.background_traffic,
+            engine.link_scale,
+            engine.channel_version,
+        )
 
     def _demand_floor(self, engine: TransferEngine, busy: list[Channel]) -> float:
         """``engine.demand_floor(busy)``, memoized per simulator. Every
@@ -770,7 +798,9 @@ class MultiTransferSimulator:
           round skips the refill check and the count bound; it ends
           instead by the first boundary at which every busy channel
           could be file-less — after the last of their in-flight files
-          completes — unless ``count_stable_steps`` allows more;
+          completes — unless ``count_stable_steps`` allows more. The
+          next round holds the cap without re-reading the demand (see
+          :meth:`_impose_caps`);
         * no queued arrival becomes admittable mid-span.
 
         Time advances through ``advance_clock``, bit-equal to the grid
@@ -852,6 +882,8 @@ class MultiTransferSimulator:
                 pinned = cap is not None and (
                     self._demand_floor(engines[0], prepared_busy[0]) > cap * (1.0 + 1e-9)
                 )
+                if pinned:
+                    self._hold = self._pinned_key(engines[0])
             coupled = n > 1 or (capped and not pinned)
             if pinned:
                 # A channel completes a file before it can dip, so no

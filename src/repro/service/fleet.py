@@ -300,8 +300,10 @@ def route_requests(
     ``topology-aware`` routing additionally needs the fleet fabric
     ``topology`` and per-shard ``bottlenecks``: each dispatch
     water-fills every backlogged shard's bytes over the fabric
-    (incrementally — :func:`repro.topo.alloc.refill` re-solves only
-    the interference component the previous dispatch touched), then
+    (incrementally — :func:`repro.topo.alloc.refill` carries the
+    previous dispatch's allocation while every grown backlog belongs
+    to a bound shard and stays above its level, and otherwise
+    re-solves only the interference component that changed), then
     picks the shard whose worst endpoint trunk has the lowest
     ``(bottleneck_load + request bytes) / capacity`` pressure, ties to
     the lowest shard index.

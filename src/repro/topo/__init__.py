@@ -22,9 +22,9 @@ from repro.topo.alloc import (
     alloc_cache_clear,
     alloc_cache_info,
     allocate,
+    carry,
     refill,
     set_alloc_cache,
-    water_fill,
 )
 from repro.topo.core import (
     Bottleneck,
@@ -51,11 +51,11 @@ __all__ = [
     "alloc_cache_info",
     "allocate",
     "build_topology",
+    "carry",
     "fat_tree",
     "from_edges",
     "leaf_spine",
     "refill",
     "set_alloc_cache",
     "single_link",
-    "water_fill",
 ]

@@ -37,13 +37,32 @@ transitively), and the canonical freeze order above makes the
 per-component arithmetic independent of how *other* components
 interleave — so the splice is bit-identical to a from-scratch solve,
 not merely close.
+
+Before it splices or looks anything up, :func:`refill` tries the
+cheapest exact answer, :func:`carry`: the previous allocation with the
+new demands. It applies when the flow ids, paths and weights are
+unchanged and every flow whose demand moved was *bound* with
+``demand / weight > levels[flow]``, where ``levels[flow]`` (recorded
+by the solver) is the highest water level the solve reached while that
+flow was unfrozen. Why that is exact: the solver reads an unfrozen
+flow's demand in one place only, the demand-freeze test
+``demand / weight <= level`` of each round; once the flow freezes at a
+bottleneck its rate is ``weight * level`` and its demand is never read
+again. Every round up to the flow's freeze compared its demand against
+a level no higher than the recorded one, so a demand still above that
+level fails every one of those tests exactly as the old demand did.
+Every round therefore freezes the same flows in the same order at the
+same levels, and every rate, binding and load comes out bit-equal;
+only ``demands`` and ``bottleneck_demand`` (re-summed on the moved
+flows' hops, in sorted-member order) change. A demand-limited flow's
+rate *is* its demand, so any move of one re-solves.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.units import BytesPerSecond
 
@@ -54,8 +73,8 @@ __all__ = [
     "FlowDemand",
     "AllocationResult",
     "AllocCacheInfo",
-    "water_fill",
     "allocate",
+    "carry",
     "refill",
     "alloc_cache_info",
     "alloc_cache_clear",
@@ -99,9 +118,9 @@ class AllocationResult:
     """The fixed point: per-flow rates plus diagnostic structure.
 
     Equality compares the allocation itself (rates, demands, binding,
-    per-bottleneck loads); ``rounds`` is excluded — an incremental
-    :func:`refill` reaches the same fixed point in a different number
-    of water-filling rounds than a from-scratch solve.
+    per-bottleneck loads); ``rounds`` and ``levels`` are excluded —
+    they describe the solve behind the result, and an incremental
+    :func:`refill` reaches the same fixed point by a different one.
     """
 
     #: flow id -> allocated rate (bytes/s), ``min(demand, fair share)``.
@@ -127,6 +146,10 @@ class AllocationResult:
     bottleneck_demand: dict[str, BytesPerSecond] = field(default_factory=dict)
     #: water-filling rounds until the fixed point (diagnostic only).
     rounds: int = field(default=0, compare=False)
+    #: bound flow id -> the highest water level the solve reached while
+    #: the flow was unfrozen (what :func:`carry` tests a new demand
+    #: against; demand-limited flows have no entry).
+    levels: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def congested_flows(self) -> list[str]:
@@ -248,43 +271,6 @@ def _validate_unique(flows: Sequence[FlowDemand]) -> None:
         seen.add(flow.flow)
 
 
-def water_fill(
-    capacity: BytesPerSecond,
-    demands: Mapping[str, BytesPerSecond],
-    weights: Optional[Mapping[str, float]] = None,
-) -> dict[str, BytesPerSecond]:
-    """Weighted max-min division of one capacity (bytes/s) among
-    demands (bytes/s).
-
-    Progressive filling: flows whose demand is below their weighted
-    fair share are frozen at their demand, their unused share is
-    returned to the pool, and the remaining flows split it by weight —
-    repeated (via one pass in ascending ``demand/weight`` order) until
-    every flow is frozen at either its demand or its final share.
-    """
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
-    if not demands:
-        return {}
-    if weights is None:
-        weights = {flow: 1.0 for flow in demands}
-    order = sorted(
-        demands, key=lambda flow: (demands[flow] / weights[flow], flow)
-    )
-    remaining = float(capacity)
-    remaining_weight = sum(weights[flow] for flow in order)
-    shares: dict[str, float] = {}
-    for flow in order:
-        fair = remaining * weights[flow] / remaining_weight
-        give = demands[flow] if demands[flow] < fair else fair
-        shares[flow] = give
-        remaining -= give
-        remaining_weight -= weights[flow]
-        if remaining < 0.0:
-            remaining = 0.0
-    return {flow: shares[flow] for flow in sorted(shares)}
-
-
 def _solve_scalar(
     demands: dict[str, float],
     weights: dict[str, float],
@@ -292,14 +278,19 @@ def _solve_scalar(
     by_bottleneck: dict[str, list[str]],
     capacities: dict[str, float],
     max_rounds: int,
-) -> tuple[dict[str, float], dict[str, Optional[str]], int]:
-    """The reference progressive-filling loop (see :func:`allocate`)."""
+) -> tuple[dict[str, float], dict[str, Optional[str]], dict[str, float], int]:
+    """The reference progressive-filling loop (see :func:`allocate`);
+    returns the rates, the bindings, each bound flow's level (see
+    :attr:`AllocationResult.levels`) and the round count."""
     hops_sorted = sorted(by_bottleneck)
     rates: dict[str, float] = {}
     binding: dict[str, Optional[str]] = {}
+    levels: dict[str, float] = {}
     active = set(demands)
     frozen_load = {hop: 0.0 for hop in hops_sorted}
     rounds = 0
+    # the highest level so far: every active flow has seen all of them
+    peak = 0.0
     while active and rounds < max_rounds:
         rounds += 1
         # Lowest level at which a bottleneck saturates.
@@ -319,6 +310,8 @@ def _solve_scalar(
                 cap_level = level
         if cap_level is None:  # pragma: no cover - every flow has a hop
             break
+        if cap_level > peak:
+            peak = cap_level
         # Flows whose demand sits at or below the level freeze first:
         # removing one returns unused share to its hops, so every
         # hop's saturation level can only rise — freezing them all at
@@ -360,6 +353,7 @@ def _solve_scalar(
                     if hop in saturated:
                         rates[flow] = weights[flow] * cap_level
                         binding[flow] = hop
+                        levels[flow] = peak
                         frozen.append(flow)
                         break
         for flow in frozen:
@@ -369,7 +363,7 @@ def _solve_scalar(
     for flow in sorted(active):  # pragma: no cover - max_rounds backstop
         rates[flow] = demands[flow]
         binding[flow] = None
-    return rates, binding, rounds
+    return rates, binding, levels, rounds
 
 
 def _finalize(
@@ -377,6 +371,7 @@ def _finalize(
     demands: dict[str, float],
     weights: dict[str, float],
     binding: dict[str, Optional[str]],
+    levels: dict[str, float],
     paths: dict[str, tuple[str, ...]],
     by_bottleneck: dict[str, list[str]],
     rounds: int,
@@ -402,6 +397,7 @@ def _finalize(
         weights=weights,
         bottleneck_demand=demand_load,
         rounds=rounds,
+        levels=levels,
     )
 
 
@@ -421,11 +417,11 @@ def _allocate_fresh(
     capacities = {
         hop: topology.capacity(hop) for hop in sorted(by_bottleneck)
     }
-    rates, binding, rounds = _solve_scalar(
+    rates, binding, levels, rounds = _solve_scalar(
         demands, weights, paths, by_bottleneck, capacities, max_rounds
     )
     return _finalize(
-        rates, demands, weights, binding, paths, by_bottleneck, rounds
+        rates, demands, weights, binding, levels, paths, by_bottleneck, rounds
     )
 
 
@@ -465,25 +461,67 @@ def allocate(
     return _memo_store(key, _allocate_fresh(topology, flows, max_rounds))
 
 
+def carry(
+    previous: AllocationResult,
+    flows: Sequence[tuple[str, tuple[str, ...], float, float]],
+) -> Optional[AllocationResult]:
+    """``previous`` with the new demands of ``flows`` (unique
+    ``(flow, path, demand, weight)`` float tuples) when the module
+    docstring's carry rule makes that exact — ``previous`` itself when
+    no demand moved — else ``None``. Assumes unchanged capacities."""
+    demands = previous.demands
+    if len(flows) != len(demands):
+        return None
+    paths = previous.paths
+    weights = previous.weights
+    levels = previous.levels
+    moved: list[tuple[str, float]] = []
+    for name, path, demand, weight in flows:
+        prior = demands.get(name)
+        if prior is None or paths[name] != path or weights[name] != weight:
+            return None
+        if demand != prior:
+            level = levels.get(name)
+            if level is None or not demand / weight > level:
+                return None
+            moved.append((name, demand))
+    if not moved:
+        return previous
+    demands = dict(demands)
+    touched: set[str] = set()
+    for name, demand in moved:
+        demands[name] = demand
+        touched.update(paths[name])
+    demand_load = dict(previous.bottleneck_demand)
+    for hop in touched:
+        # ``demands`` iterates in sorted flow order, as the members do
+        demand_load[hop] = sum(
+            demand for name, demand in demands.items() if hop in paths[name]
+        )
+    return replace(
+        previous, demands=demands, bottleneck_demand=demand_load, rounds=0
+    )
+
+
 def refill(
     topology: "Topology",
     flows: Sequence[FlowDemand],
     previous: Optional[AllocationResult],
     *,
-    changed: Optional[Iterable[str]] = None,
     max_rounds: int = _MAX_ROUNDS,
     cache: Optional[bool] = None,
 ) -> AllocationResult:
     """Incrementally re-solve after a small change in the flow set.
 
-    Diffs ``flows`` against ``previous`` (joined, departed, or
-    demand/path/weight-changed flows; ``changed`` unions extra flow
-    ids to force), expands the changes to the connected components of
-    the flow–bottleneck interference graph they touch, re-solves only
-    those components, and splices every untouched component's rates,
-    bindings and per-bottleneck loads straight out of ``previous``.
+    Returns :func:`carry`'s result when it applies (no memo lookup).
+    Otherwise diffs ``flows`` against ``previous`` (joined, departed,
+    or demand/path/weight-changed flows), expands the changes to the
+    connected components of the flow–bottleneck interference graph
+    they touch, re-solves only those components, and splices every
+    untouched component's rates, bindings, per-bottleneck loads and
+    levels straight out of ``previous``.
 
-    Bit-identity contract: the spliced result equals a from-scratch
+    Bit-identity contract: the result equals a from-scratch
     :func:`allocate` on the same inputs (``rounds`` excepted — it
     reports the sub-solve only). The caller must guarantee the
     topology's capacities are unchanged since ``previous`` was
@@ -499,10 +537,16 @@ def refill(
             rates={}, demands={}, binding={}, bottleneck_load={}, rounds=0
         )
     _validate_unique(flows)
+    carried = carry(
+        previous,
+        [(f.flow, f.path, float(f.demand), float(f.weight)) for f in flows],
+    )
+    if carried is not None:
+        return carried
     key, hit = _memo_lookup(cache, topology, flows, max_rounds)
     if hit is not None:
         return hit
-    changed_names = set(changed) if changed is not None else set()
+    changed_names: set[str] = set()
     for f in flows:
         prior = previous.demands.get(f.flow)
         if (
@@ -512,10 +556,7 @@ def refill(
             or float(f.weight) != previous.weights.get(f.flow)
         ):
             changed_names.add(f.flow)
-    names = {f.flow for f in flows}
-    removed = set(previous.demands) - names
-    if not changed_names and not removed:
-        return _memo_store(key, previous)
+    removed = set(previous.demands).difference(f.flow for f in flows)
     by_bottleneck: dict[str, list[str]] = {}
     flow_by_name: dict[str, FlowDemand] = {}
     for f in sorted(flows, key=lambda f: f.flow):
@@ -526,16 +567,10 @@ def refill(
     # it used to register, and everywhere a departed flow registered —
     # load moved on or off all of them.
     seed_hops: set[str] = set()
-    for name in changed_names:
+    for name in changed_names | removed:
         if name in flow_by_name:
             seed_hops.update(flow_by_name[name].path)
-        prior_path = previous.paths.get(name)
-        if prior_path is not None:
-            seed_hops.update(prior_path)
-    for name in removed:
-        prior_path = previous.paths.get(name)
-        if prior_path is not None:
-            seed_hops.update(prior_path)
+        seed_hops.update(previous.paths.get(name, ()))
     # Expand to the full connected components: any flow crossing an
     # affected hop is affected, and drags its own hops in.
     affected_hops: set[str] = set()
@@ -567,31 +602,24 @@ def refill(
     binding: dict[str, Optional[str]] = {}
     paths: dict[str, tuple[str, ...]] = {}
     weights: dict[str, float] = {}
+    levels: dict[str, float] = {}
     for name in sorted(flow_by_name):
-        if sub is not None and name in affected_flows:
-            rates[name] = sub.rates[name]
-            demands[name] = sub.demands[name]
-            binding[name] = sub.binding[name]
-            paths[name] = sub.paths[name]
-            weights[name] = sub.weights[name]
-        else:
-            rates[name] = previous.rates[name]
-            demands[name] = previous.demands[name]
-            binding[name] = previous.binding[name]
-            paths[name] = previous.paths[name]
-            weights[name] = previous.weights[name]
+        source = sub if sub is not None and name in affected_flows else previous
+        rates[name] = source.rates[name]
+        demands[name] = source.demands[name]
+        binding[name] = source.binding[name]
+        paths[name] = source.paths[name]
+        weights[name] = source.weights[name]
+        if name in source.levels:
+            levels[name] = source.levels[name]
     load: dict[str, float] = {}
     demand_load: dict[str, float] = {}
     count: dict[str, int] = {}
     for hop in sorted(by_bottleneck):
-        if hop in affected_hops and sub is not None:
-            load[hop] = sub.bottleneck_load[hop]
-            demand_load[hop] = sub.bottleneck_demand[hop]
-            count[hop] = sub.bottleneck_flows[hop]
-        else:
-            load[hop] = previous.bottleneck_load[hop]
-            demand_load[hop] = previous.bottleneck_demand[hop]
-            count[hop] = previous.bottleneck_flows[hop]
+        source = sub if sub is not None and hop in affected_hops else previous
+        load[hop] = source.bottleneck_load[hop]
+        demand_load[hop] = source.bottleneck_demand[hop]
+        count[hop] = source.bottleneck_flows[hop]
     return _memo_store(key, AllocationResult(
         rates=rates,
         demands=demands,
@@ -602,4 +630,5 @@ def refill(
         weights=weights,
         bottleneck_demand=demand_load,
         rounds=sub.rounds if sub is not None else 0,
+        levels=levels,
     ))

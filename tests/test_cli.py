@@ -123,6 +123,14 @@ class TestCommands:
         assert captured.err.strip() == message
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_fleet_non_finite_jobs_per_day_exits_2(self, value, capsys):
+        # the ``=`` form: argparse reads a separate "-inf" as an option
+        assert main(["fleet", "-t", "didclab", f"--jobs-per-day={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"jobs_per_day must be finite, got {float(value)}"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv,message", [
         (["service", "--max-concurrent", "0"], "max_concurrent_jobs must be >= 1"),
         (["service", "--jobs", "-1"], "n_jobs must be >= 1"),

@@ -1,5 +1,7 @@
 """Multi-transfer coordination: shared-path jobs, admission control."""
 
+import dataclasses
+
 import pytest
 
 import repro.service.simulate
@@ -511,6 +513,67 @@ class TestLoneCappedFlow:
     @pytest.mark.parametrize("spine", [0.6, 0.7, 0.8, 0.9])
     def test_cap_between_one_channel_and_the_set_is_not_pinned(self, shared_testbed, spine):
         self._assert_matches_grid(shared_testbed, spine, 2, self.MANY)
+
+
+class TestPinnedHold:
+    """The round after a pinned lone-flow round holds the flow's cap
+    without re-reading its demand. Each change to what the demand floor
+    and the cap read must drop the hold: landing between a pinned round
+    and the next, an ambient surge, a brownout, a bottleneck scale and
+    a server failure must leave the fast day bit-equal to the grid,
+    imposed caps included."""
+
+    EVENTS = (
+        (6.0, lambda sim: [sim.scale_bottleneck(f"spine{i}", 0.6) for i in (0, 1)]),
+        (12.0, lambda sim: sim.set_link_scale(0.7)),
+        (18.0, lambda sim: sim.inject_server_failure("src", 0, downtime=3.0)),
+        (24.0, lambda sim: sim.set_ambient_streams(400.0)),
+        # one round later: the surge must have lifted the cap
+        (24.1, lambda sim: None),
+    )
+
+    @classmethod
+    def _run(cls, testbed, *, fast):
+        sim = MultiTransferSimulator(
+            testbed, topology="leaf-spine:s=2,l=2,spine=0.3",
+            observer=Observer() if fast else None,
+        )
+        sizes = TestLoneCappedFlow.MANY * 2
+        files = tuple(FileInfo(f"solo-{n}", int(size)) for n, size in enumerate(sizes))
+        sim.submit("solo", [ChunkPlan("solo", files, TransferParams(concurrency=3))])
+        caps, held = [], []
+        for at, action in cls.EVENTS:
+            while sim.time < at - 1e-9:
+                if fast:
+                    sim.run_until(at)
+                else:
+                    sim.step()
+            held.append(sim._hold is not None)
+            caps.append(sim._jobs[0][1].capacity_cap)
+            action(sim)
+        if fast:
+            TestRunUntil._drive_fast(sim)
+        else:
+            TestRunUntil._drive_grid(sim)
+        return sim, caps, held
+
+    def test_interventions_mid_pinned_span_match_grid(self, shared_testbed):
+        testbed = dataclasses.replace(
+            shared_testbed,
+            source=dataclasses.replace(shared_testbed.source, server_count=2),
+            destination=dataclasses.replace(shared_testbed.destination, server_count=2),
+        )
+        fast, fast_caps, held = self._run(testbed, fast=True)
+        grid, grid_caps, _ = self._run(testbed, fast=False)
+        # every event lands right after a pinned round
+        assert all(held[:-1])
+        assert fast_caps == grid_caps
+        assert fast_caps[-1] is None and None not in fast_caps[:-1]
+        (rf,), (rg,) = fast.records(), grid.records()
+        assert rf.start_time == rg.start_time          # bit-equal
+        assert rf.completion_time == rg.completion_time
+        assert rf.completion_time > self.EVENTS[-1][0]
+        assert rf.energy_joules == pytest.approx(rg.energy_joules, rel=1e-9)
 
 
 class TestRoundBoundCounters:

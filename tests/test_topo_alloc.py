@@ -11,7 +11,6 @@ from repro.topo import (
     FlowDemand,
     allocate,
     from_edges,
-    water_fill,
 )
 
 
@@ -29,30 +28,45 @@ def topo2():
     )
 
 
+def one_hop(capacity, demands, weights=None):
+    """Weighted max-min division of one hop's capacity: ``allocate``
+    over a single bottleneck, as a flow -> rate dict."""
+    topo = from_edges([("hop", capacity)], {"p": ("a", "b", ["hop"])})
+    weights = weights or {}
+    result = allocate(
+        topo,
+        [
+            FlowDemand(flow, ("hop",), demand, weights.get(flow, 1.0))
+            for flow, demand in demands.items()
+        ],
+    )
+    return result.rates
+
+
 class TestWaterFill:
     def test_demand_capped_shares(self):
-        assert water_fill(12.0, {"a": 2.0, "b": 5.0, "c": 10.0}) == {
+        assert one_hop(12.0, {"a": 2.0, "b": 5.0, "c": 10.0}) == {
             "a": 2.0,
             "b": 5.0,
             "c": 5.0,
         }
 
     def test_weighted_shares(self):
-        shares = water_fill(
+        shares = one_hop(
             8.0, {"a": 10.0, "b": 10.0}, {"a": 1.0, "b": 3.0}
         )
         assert shares == {"a": 2.0, "b": 6.0}
 
     def test_all_satisfied_below_capacity(self):
-        assert water_fill(100.0, {"a": 3.0, "b": 4.0}) == {
+        assert one_hop(100.0, {"a": 3.0, "b": 4.0}) == {
             "a": 3.0,
             "b": 4.0,
         }
 
     def test_empty_and_invalid(self):
-        assert water_fill(5.0, {}) == {}
+        assert one_hop(5.0, {}) == {}
         with pytest.raises(ValueError):
-            water_fill(-1.0, {"a": 1.0})
+            one_hop(-1.0, {"a": 1.0})
 
 
 class TestAllocateAnalytic:

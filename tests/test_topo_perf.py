@@ -12,6 +12,8 @@ and the new cache telemetry must flow through counters, the
 """
 
 import json
+import math
+import random
 
 import pytest
 
@@ -35,6 +37,8 @@ from repro.topo import (
     alloc_cache_info,
     allocate,
     build_topology,
+    carry,
+    from_edges,
     refill,
     set_alloc_cache,
 )
@@ -175,6 +179,89 @@ class TestAllocatorEquivalence:
         assert alloc_cache_info().misses == 2
 
 
+class TestCarryProperty:
+    """``refill`` — carry, splice or solve — equals a cold ``allocate``
+    bit for bit on random fabrics, flows and weights, with bound flows'
+    demands moved just above, well above, onto and below their level."""
+
+    @staticmethod
+    def fabric(rng):
+        hops = [f"h{i}" for i in range(rng.randint(2, 6))]
+        topology = from_edges(
+            [(hop, rng.uniform(1.0, 10.0)) for hop in hops],
+            {"p": ("a", "b", [hops[0]])},
+        )
+        flows = [
+            FlowDemand(
+                f"f{i}",
+                tuple(rng.sample(hops, rng.randint(1, min(3, len(hops))))),
+                rng.uniform(0.05, 8.0),
+                rng.choice((0.5, 1.0, 1.0, 2.0, 3.0)),
+            )
+            for i in range(rng.randint(1, 10))
+        ]
+        return topology, flows
+
+    @staticmethod
+    def moved(rng, flows, result):
+        out = []
+        for f in flows:
+            level = result.levels.get(f.flow)
+            demand = f.demand
+            if level is not None and rng.random() < 0.7:
+                at = level * f.weight
+                demand = rng.choice((
+                    math.nextafter(at, math.inf),
+                    at * rng.uniform(1.0, 3.0),
+                    at,
+                    at * rng.uniform(0.2, 1.0),
+                ))
+            elif rng.random() < 0.2:
+                demand = demand * rng.uniform(0.5, 1.5)
+            out.append(FlowDemand(f.flow, f.path, demand, f.weight))
+        return out
+
+    @staticmethod
+    def assert_bit_equal(got, want):
+        assert got == want
+        for name in ("rates", "demands", "bottleneck_load", "bottleneck_demand"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert {k: v.hex() for k, v in a.items()} == {
+                k: v.hex() for k, v in b.items()
+            }
+        assert got.levels == want.levels
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_refill_chain_equals_cold_allocate(self, seed):
+        rng = random.Random(seed)
+        topology, flows = self.fabric(rng)
+        previous = allocate(topology, flows, cache=False)
+        carried = 0
+        for _ in range(6):
+            flows = self.moved(rng, flows, previous)
+            got = refill(topology, flows, previous, cache=False)
+            cold = allocate(topology, flows, cache=False)
+            self.assert_bit_equal(got, cold)
+            carried += carry(
+                previous,
+                [(f.flow, f.path, float(f.demand), float(f.weight)) for f in flows],
+            ) is not None
+            previous = got
+        if seed == 0:  # the chain does take the carry, not only solves
+            assert carried > 0
+
+    def test_carry_needs_the_same_flows(self):
+        topology = build_topology(TOPOLOGY_SPECS[1], bandwidth=1e9)
+        flows = flows_for(topology, 12)
+        previous = allocate(topology, flows, cache=False)
+        raw = [(f.flow, f.path, float(f.demand), 1.0) for f in flows]
+        assert carry(previous, raw) is previous
+        assert carry(previous, raw[1:]) is None
+        assert carry(previous, raw[:-1] + [("new", raw[-1][1], 1.0, 1.0)]) is None
+        name, path, demand, _ = raw[0]
+        assert carry(previous, [(name, path, demand, 2.0)] + raw[1:]) is None
+
+
 # ----------------------------------------------------------------------
 # netsim round reuse: binding decisions pinned to from-scratch allocate
 # ----------------------------------------------------------------------
@@ -185,10 +272,11 @@ class TestRoundReuseBindingRegression:
     def test_day_identical_to_fresh_allocate_per_round(
         self, placement, monkeypatch
     ):
-        """The signature skip, the LRU and ``refill`` together must make
-        exactly the decisions a from-scratch ``allocate`` per round
-        would — pinned by running the same day with ``refill``
-        monkeypatched to an uncached cold solve and demanding a
+        """The pinned-round hold, the carry, the LRU and ``refill``
+        together must make exactly the decisions a from-scratch
+        ``allocate`` per round would — pinned by running the same day
+        with the hold and the carry switched off and ``refill``
+        monkeypatched to an uncached cold solve, and demanding a
         byte-identical report (``_would_bind`` included: it shares the
         same ``refill`` entry point)."""
         requests = bursty_workload(6, day_s=DAY, seed=9, size_scale=0.2)
@@ -203,6 +291,12 @@ class TestRoundReuseBindingRegression:
             return allocate(topology, flows, cache=False)
 
         monkeypatch.setattr(multi, "refill", cold)
+        monkeypatch.setattr(multi, "carry", lambda previous, flows: None)
+        # a fresh key per call never matches the one a pinned round set
+        monkeypatch.setattr(
+            multi.MultiTransferSimulator, "_pinned_key",
+            lambda self, engine: (object(),),
+        )
         alloc_cache_clear()
         scratch = run_day(requests, **kwargs)
         assert report_json(cached) == report_json(scratch)
