@@ -163,18 +163,29 @@ class TariffTrace:
     def _integrate(self, start: float, duration: float, column: int) -> float:
         """Integral of the selected column over ``[start, start +
         duration]`` divided by ``duration`` (the interval-average
-        value). Walks plateau boundaries analytically; a one-plateau
-        trace returns its value exactly."""
+        value).
+
+        Walks the plateaus from ``start``'s phase, taking each span as a
+        length within the period (an offset difference) and never as a
+        difference of absolute times, and weights each plateau by its
+        share ``span / duration`` of the run. A run inside one plateau
+        (or on a one-plateau trace) therefore bills exactly at its
+        value."""
         if duration <= 0 or len(self.points) == 1:
             return self._segment(start)[column]
+        offsets = self._offsets
+        phase = start % self.period_s
+        idx = bisect_right(offsets, phase) - 1
+        left = duration
         total = 0.0
-        t = start
-        end = start + duration
-        while t < end - 1e-12:
-            boundary = min(self.next_change(t), end)
-            total += self._segment(t)[column] * (boundary - t)
-            t = boundary
-        return total / duration
+        while left > 1e-12:
+            edge = offsets[idx + 1] if idx + 1 < len(offsets) else self.period_s
+            span = min(edge - phase, left)
+            total += self.points[idx][column] * (span / duration)
+            left -= span
+            idx = (idx + 1) % len(offsets)
+            phase = offsets[idx]
+        return total
 
     def cost(self, joules: Joules, start: Seconds, duration: Seconds = 0.0) -> float:
         """Dollars for ``joules`` drawn uniformly over the interval.

@@ -108,10 +108,10 @@ GOLDEN_REPORTS = {
     ("flat", None): _FLAT_REPORTS,
     ("flat", 13.5): _FLAT_REPORTS,
     ("peak-offpeak", 2.0): [
-        "PolicyReport(policy='promc', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.007565035008920536, annual_kg_co2=0.048416224057091416)",
-        "PolicyReport(policy='htee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.014486484999997797, annual_kg_co2=0.09271350399998589)",
-        "PolicyReport(policy='mine', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.007565035008920536, annual_kg_co2=0.048416224057091416)",
-        "PolicyReport(policy='slaee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.014486484999997797, annual_kg_co2=0.09271350399998589)",
+        "PolicyReport(policy='promc', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.007565035008921682, annual_kg_co2=0.04841622405709877)",
+        "PolicyReport(policy='htee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.014486484999999997, annual_kg_co2=0.09271350399999999)",
+        "PolicyReport(policy='mine', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.007565035008921682, annual_kg_co2=0.04841622405709877)",
+        "PolicyReport(policy='slaee', annual_jobs=9490.0, annual_energy_kwh=0.2897296999999999, annual_transfer_hours=6.326666666666668, annual_cost_dollars=0.014486484999999997, annual_kg_co2=0.09271350399999999)",
     ],
     ("peak-offpeak", None): [
         "PolicyReport(policy='promc', annual_jobs=9490.0, annual_energy_kwh=0.1513007001784336, annual_transfer_hours=3.163333333333333, annual_cost_dollars=0.015130070017843365, annual_kg_co2=0.05799860173506624)",
