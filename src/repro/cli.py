@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from collections.abc import Collection, Sequence
@@ -248,6 +249,26 @@ def _add_testbed(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _FlagRangeError(Exception):
+    """A flag's number is outside its domain. It is not a
+    ``ValueError``, so argparse lets it through to :func:`main`, which
+    prints it as one stderr line and exits 2."""
+
+
+def _finite_positive(flag: str, field: str):
+    """An argparse ``type=`` for ``flag``: a finite number > 0. A value
+    outside that is reported with the ``field`` it sets and the flag."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value > 0):
+            raise _FlagRangeError(f"{field} must be > 0 and finite, got {flag} {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse's "invalid float value" wording
+    return parse
+
+
 def _add_day_options(
     parser: argparse.ArgumentParser, *, workload: str, policy: str, jobs: int
 ) -> None:
@@ -266,7 +287,7 @@ def _add_day_options(
                              "green-midday (default peak-offpeak)")
     parser.add_argument("--jobs", type=int, default=jobs,
                         help=f"tenant requests over the day (default {jobs})")
-    parser.add_argument("--day", type=float, default=3600.0,
+    parser.add_argument("--day", type=_finite_positive("--day", "day_s"), default=3600.0,
                         help="length of the simulated day in seconds; job "
                              "sizes (and chaos fault timings) scale "
                              "proportionally (default 3600)")
@@ -400,7 +421,11 @@ def _resolve_testbed(name: str) -> Optional[Testbed]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _FlagRangeError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if getattr(args, "testbed", None) is not None:
         # every command's ``-t`` is resolved (and checked) here, once
         args.testbed = _resolve_testbed(args.testbed)

@@ -13,15 +13,18 @@ has nothing relevant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.allocation import chunk_params, htee_weights
 from repro.core.chunks import PartitionPolicy, partition_files
 from repro.core.htee import HTEEAlgorithm, scaled_allocation
 from repro.core.scheduler import TransferOutcome, make_engine, make_plans, run_to_completion
 from repro.datasets.files import Dataset
-from repro.harness.store import ResultStore
 from repro.netsim.engine import Binding
 from repro.testbeds.specs import Testbed
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.harness.store import ResultStore
 
 __all__ = ["HistoricalTuner"]
 

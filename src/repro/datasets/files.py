@@ -10,7 +10,7 @@ consume (total size, count, average file size).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro import units
@@ -95,9 +95,19 @@ class Dataset:
 
     @staticmethod
     def from_sizes(sizes: Sequence[int], name: str = "dataset", prefix: str = "file") -> "Dataset":
-        """Build a dataset from raw sizes; names are generated."""
-        width = max(1, len(str(max(len(sizes) - 1, 0))))
+        """Build a dataset from raw sizes; names are generated
+        (``file0`` … ``file9``, ``file00`` … ``file10``, …)."""
         return Dataset(
-            (FileInfo(f"{prefix}{i:0{width}d}", int(s)) for i, s in enumerate(sizes)),
+            (FileInfo(n, int(s)) for n, s in zip(_file_names(prefix, len(sizes)), sizes)),
             name=name,
         )
+
+
+@lru_cache(maxsize=256)
+def _file_names(prefix: str, count: int) -> tuple[str, ...]:
+    """The generated names of a ``count``-file dataset, zero-padded to
+    the width of the largest index. Cached so that the many same-sized
+    datasets of a service day share one set of strings; the names are
+    a pure function of the key, so the cache changes no output."""
+    width = max(1, len(str(max(count - 1, 0))))
+    return tuple(f"{prefix}{i:0{width}d}" for i in range(count))

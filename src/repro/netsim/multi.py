@@ -170,7 +170,11 @@ class MultiTransferSimulator:
         #: round and by :meth:`flush_topo_events`.
         self._cached_span_start: Optional[Seconds] = None
         self._cached_span_rounds = 0
-        self._jobs: list[tuple[JobRecord, TransferEngine]] = []
+        #: Every submitted job's record, in submission order. Only the
+        #: records outlive their jobs: a job's engine is held by
+        #: ``_unstarted`` while it queues and by ``_active`` while it
+        #: runs, and dies when a driver stamps its completion.
+        self._records: list[JobRecord] = []
         self._names: set[str] = set()
         # Incremental indexes: ``step``/``run_until`` never scan the
         # full submission list. ``_unstarted`` holds jobs in arrival
@@ -235,7 +239,7 @@ class MultiTransferSimulator:
             # current factor (a restore back to 1.0 is a no-op on the
             # engine side)
             engine.set_link_scale(self._link_scale)
-        self._jobs.append((record, engine))
+        self._records.append(record)
         self._names.add(name)
         if self._unstarted and arrival_time < self._unstarted[-1][0].arrival_time:
             self._unstarted_dirty = True
@@ -243,16 +247,6 @@ class MultiTransferSimulator:
         return record
 
     # ------------------------------------------------------------------
-
-    def _running(self) -> list[tuple[JobRecord, TransferEngine]]:
-        active = self._active
-        for record, _engine in active:
-            if record.finished:
-                self._active = active = [
-                    pair for pair in active if not pair[0].finished
-                ]
-                break
-        return active
 
     def _sort_unstarted(self) -> None:
         """Restore arrival order after an out-of-order submission.
@@ -273,7 +267,7 @@ class MultiTransferSimulator:
         if self._unstarted[0][0].arrival_time > self.time + 1e-12:
             return  # nothing has arrived yet
         slots = (
-            self.max_concurrent_jobs - len(self._running())
+            self.max_concurrent_jobs - len(self._active)
             if self.max_concurrent_jobs is not None
             else None
         )
@@ -320,6 +314,14 @@ class MultiTransferSimulator:
             engine.mark_server_down(
                 key[0], key[1], until=(until - self.time) + engine.time
             )
+
+    def _drop_finished(self) -> None:
+        """Let go of the engines of the jobs a round just stamped
+        finished; only their records stay. A hold set this round names
+        the lone engine that finished, so it goes too (it could never
+        match a running engine again)."""
+        self._active = [pair for pair in self._active if not pair[0].finished]
+        self._hold = None
 
     def _release_flow(self, record: JobRecord) -> None:
         """Free a completed job's route (placer load bookkeeping)."""
@@ -603,9 +605,10 @@ class MultiTransferSimulator:
     def set_link_scale(self, scale: float) -> None:
         """Scale the path's aggregate goodput for every job (brownout).
 
-        Applies to all submitted engines — running or still queued —
-        and to engines submitted later. The scale is part of the shared
-        allocation memo's key, so the memo needs no invalidation.
+        Applies to every unfinished job's engine — running or still
+        queued — and to engines submitted later. The scale is part of
+        the shared allocation memo's key, so the memo needs no
+        invalidation.
         """
         if scale <= 0:
             raise ValueError(f"link scale must be > 0, got {scale}")
@@ -616,7 +619,7 @@ class MultiTransferSimulator:
             # the topology in lock-step with the engines preserves the
             # single-link no-bind invariant under scale changes
             self.topology.set_global_scale(self._link_scale)
-        for _record, engine in self._jobs:
+        for _record, engine in (*self._unstarted, *self._active):
             engine.set_link_scale(self._link_scale)
 
     def scale_bottleneck(self, name: str, scale: float) -> float:
@@ -703,7 +706,7 @@ class MultiTransferSimulator:
             until if prior is None else max(prior, until)
         )
         failed = 0
-        for _record, engine in self._running():
+        for _record, engine in self._active:
             failed += engine.fail_server(
                 side, index, downtime=downtime, restart_files=restart_files
             )
@@ -723,7 +726,7 @@ class MultiTransferSimulator:
         if per_job < 1:
             raise ValueError("per_job must be >= 1")
         failed = 0
-        for _record, engine in self._running():
+        for _record, engine in self._active:
             for channel in engine.channels[:per_job]:
                 engine.fail_channel(channel, restart_file=restart_file)
                 failed += 1
@@ -741,8 +744,8 @@ class MultiTransferSimulator:
         job names in admission order.
         """
         readmitted: list[str] = []
-        for record, engine in self._running():
-            if engine.channels or record.finished:
+        for record, engine in self._active:
+            if engine.channels:
                 continue
             for name, state in engine.chunks.items():
                 engine.set_chunk_channels(name, state.plan.params.concurrency)
@@ -752,19 +755,23 @@ class MultiTransferSimulator:
     def step(self) -> None:
         """Advance every running job one shared time step."""
         self._admit_jobs()
-        running = self._running()
+        running = self._active
         counts = [engine.busy_streams for _, engine in running]
         backgrounds = self._backgrounds(running, counts, sum(counts))
         for (_record, engine), background in zip(running, backgrounds):
             engine.set_background_streams(background)
         self._impose_caps(running)
+        done = False
         for record, engine in running:
             before_energy = engine.total_energy
             engine.step()
             record.energy_joules += engine.total_energy - before_energy
-            if engine.finished and not record.finished:
+            if engine.finished:
                 record.completion_time = self.time + self.dt
                 self._release_flow(record)
+                done = True
+        if done:
+            self._drop_finished()
         self.time += self.dt
 
     def run_until(self, horizon: Seconds) -> list[JobRecord]:
@@ -823,7 +830,7 @@ class MultiTransferSimulator:
         completed: list[JobRecord] = []
         while self.time < horizon - 1e-9:
             self._admit_jobs()
-            running = self._running()
+            running = self._active
             if not running:
                 break
             k_cap = max(1, math.ceil((horizon - self.time - 1e-9) / dt))
@@ -943,12 +950,13 @@ class MultiTransferSimulator:
             if observer is not None:
                 observer.count(f"multi.round_bound.{bound}")
             for record, engine in running:
-                if engine.finished and not record.finished:
+                if engine.finished:
                     record.completion_time = self.time
                     engine.flush_fallback_events()
                     self._release_flow(record)
                     completed.append(record)
             if completed:
+                self._drop_finished()
                 break
         return completed
 
@@ -967,10 +975,10 @@ class MultiTransferSimulator:
             raise ValueError(
                 f"on_timeout must be 'raise' or 'warn', got {on_timeout!r}"
             )
-        while self.time < max_time and not all(r.finished for r, _ in self._jobs):
+        while self.time < max_time and (self._unstarted or self._active):
             self.step()
         self.flush_topo_events()
-        unfinished = [r for r, _ in self._jobs if not r.finished]
+        unfinished = [r for r in self._records if not r.finished]
         if unfinished:
             names = ", ".join(r.name for r in unfinished)
             message = (
@@ -988,15 +996,15 @@ class MultiTransferSimulator:
 
     def records(self) -> list[JobRecord]:
         """Every submitted job's record, in submission order."""
-        return [record for record, _ in self._jobs]
+        return list(self._records)
 
     @property
     def total_energy(self) -> Joules:
         """Joules drawn across all jobs so far."""
-        return sum(record.energy_joules for record, _ in self._jobs)
+        return sum(record.energy_joules for record in self._records)
 
     @property
     def makespan(self) -> Seconds:
         """Completion time (seconds) of the last finished job (0 if none)."""
-        times = [r.completion_time for r, _ in self._jobs if r.completion_time]
+        times = [r.completion_time for r in self._records if r.completion_time]
         return max(times) if times else 0.0

@@ -84,3 +84,22 @@ def small_testbed(small_path, small_site, small_dataset) -> Testbed:
         sla_reference_concurrency=4,
         engine_dt=0.1,
     )
+
+
+@pytest.fixture
+def built_engines(monkeypatch) -> list[TransferEngine]:
+    """Every engine a ``MultiTransferSimulator`` builds during the test,
+    in build (= submission) order. The simulator lets a job's engine go
+    when the job finishes; this list keeps each one for assertions that
+    cover every engine of a day."""
+    import repro.netsim.multi as multi
+
+    engines: list[TransferEngine] = []
+
+    def build(*args, **kwargs) -> TransferEngine:
+        engine = TransferEngine(*args, **kwargs)
+        engines.append(engine)
+        return engine
+
+    monkeypatch.setattr(multi, "TransferEngine", build)
+    return engines

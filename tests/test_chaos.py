@@ -369,11 +369,11 @@ class TestChannelCutResume:
 
 
 class TestRecovery:
-    def test_multi_readmit_stranded(self, slow_testbed):
+    def test_multi_readmit_stranded(self, slow_testbed, built_engines):
         sim = MultiTransferSimulator(slow_testbed)
         sim.submit("a", _plan("a"))
         sim.run_until(3.0)
-        engine = sim._jobs[0][1]
+        [engine] = built_engines
         assert engine.channels
         sim.inject_channel_failures(per_job=len(engine.channels))
         assert not engine.channels
@@ -426,7 +426,7 @@ class TestRecovery:
         with pytest.raises(RuntimeError):
             sim.inject_server_failure("src", 1, downtime=30.0)
 
-    def test_jobs_admitted_during_outage_inherit_it(self, slow_testbed):
+    def test_jobs_admitted_during_outage_inherit_it(self, slow_testbed, built_engines):
         sim = MultiTransferSimulator(slow_testbed)
         # "a" is long-running, so the coordinator is still stepping
         # (and admitting arrivals) when "late" shows up at t=2.
@@ -435,9 +435,7 @@ class TestRecovery:
         sim.inject_server_failure("src", 0, downtime=500.0)
         sim.submit("late", _plan("late", n_files=4), arrival_time=2.0)
         sim.run_until(5.0)
-        late_engine = next(
-            engine for record, engine in sim._jobs if record.name == "late"
-        )
+        late_engine = dict(zip((r.name for r in sim.records()), built_engines))["late"]
         assert ("src", 0) in late_engine.down_servers
 
 

@@ -153,6 +153,14 @@ class TestCommands:
         assert captured.err.startswith(message)
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["service", "fleet-service", "chaos"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_day_not_finite_and_positive_exits_2(self, command, value, capsys):
+        assert main([command, "--day", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"day_s must be > 0 and finite, got --day {value}\n"
+        assert captured.out == ""
+
     TESTBED_COMMANDS = [
         "dataset", "transfer", "sweep", "sla", "advise", "fleet", "service",
         "fleet-service", "chaos", "topo", "pareto", "report",

@@ -70,6 +70,19 @@ class TestDataset:
         assert len({f.name for f in ds}) == 3
         assert all(f.name.startswith("x") for f in ds)
 
+    @pytest.mark.parametrize("count", [1, 10, 11, 100, 101])
+    @pytest.mark.parametrize("prefix", ["file", "part-"])
+    def test_from_sizes_names_match_the_padded_format(self, count, prefix):
+        """Cached names equal the zero-padded f-string at every width
+        boundary, and same-shaped datasets share the name strings."""
+        width = len(str(count - 1))
+        expected = [f"{prefix}{i:0{width}d}" for i in range(count)]
+        first = Dataset.from_sizes(list(range(count)), prefix=prefix)
+        again = Dataset.from_sizes([7] * count, prefix=prefix)
+        assert [f.name for f in first] == expected == [f.name for f in again]
+        assert all(a.name is b.name for a, b in zip(first, again))
+        assert [f.size for f in first] == list(range(count))
+
     def test_describe_mentions_count(self):
         ds = Dataset.from_sizes([units.MB] * 3, name="tiny")
         assert "3 files" in ds.describe()

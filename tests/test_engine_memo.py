@@ -167,7 +167,7 @@ def _run(day, simulators, *, cold: bool):
 class TestCachedVsCold:
     """A cached day is ``repr``-identical to the same day solved cold."""
 
-    def test_chaos_day(self):
+    def test_chaos_day(self, built_engines):
         cached, cold = _chaos_day(cold=False), _chaos_day(cold=True)
         assert repr(cached.records()) == repr(cold.records())
         assert repr(cached.total_energy) == repr(cold.total_energy)
@@ -175,8 +175,10 @@ class TestCachedVsCold:
         assert cold._memos[0].solved and cold._memos[1].solved
         scales = {key[3] for key, _rates in cold._memos[0].solved}
         assert scales == {1.0, 0.5}
-        assert sum(engine.server_failures for _r, engine in cold._jobs) > 0
-        assert sum(engine.channel_failures for _r, engine in cold._jobs) > 0
+        cold_engines = built_engines[len(cached.records()):]
+        assert len(cold_engines) == 4
+        assert sum(engine.server_failures for engine in cold_engines) > 0
+        assert sum(engine.channel_failures for engine in cold_engines) > 0
 
     @pytest.mark.parametrize("day", [_topo_day, lambda: _spray_day(60)],
                              ids=["topo-2-pair", "spray-deferral"])
@@ -195,15 +197,17 @@ class TestCachedVsCold:
 
 
 class TestSharedTables:
-    def test_one_pair_of_tables_per_simulator(self):
+    def test_one_pair_of_tables_per_simulator(self, built_engines):
         sims = [MultiTransferSimulator(XSEDE) for _ in range(2)]
         for sim in sims:
+            built_engines.clear()
             for i in range(3):
                 sim.submit(f"job{i}", _plans(f"j{i}-"))
             alloc, power = sim._memos
+            assert len(built_engines) == 3
             assert all(
                 engine._alloc_cache is alloc and engine._power_memo is power
-                for _record, engine in sim._jobs
+                for engine in built_engines
             )
         assert not set(map(id, sims[0]._memos)) & set(map(id, sims[1]._memos))
 
@@ -218,10 +222,10 @@ class TestPerJobConservation:
     1e-12 relative, energy bit-for-bit."""
 
     @pytest.mark.parametrize("day", [_chunky_day, _spray_day], ids=["chunky-day", "spray-deferral"])
-    def test_records_match_their_engines(self, day, simulators):
+    def test_records_match_their_engines(self, day, simulators, built_engines):
         _report, sim = _run(day(200), simulators, cold=False)
-        assert len(sim._jobs) == 200
-        for record, engine in sim._jobs:
+        assert len(simulators) == 1 and len(built_engines) == 200
+        for record, engine in zip(sim.records(), built_engines, strict=True):
             assert record.finished
             assert engine.total_bytes == pytest.approx(record.total_bytes, rel=1e-12, abs=0.0)
             assert record.energy_joules == engine.total_energy

@@ -200,8 +200,10 @@ class TestPowerKernelOracle:
         return sim
 
     @pytest.mark.parametrize("fast", [False, True], ids=["step", "run_until"])
-    def test_multi_transfer_bit_equal(self, fast):
+    def test_multi_transfer_bit_equal(self, fast, built_engines):
         kernel, generic = self._multi(False, fast), self._multi(True, fast)
+        # the kernel day was built first: its four engines lead the list
+        assert len(built_engines) == 8
         assert kernel.total_energy > 0.0
         assert kernel.total_energy == generic.total_energy
         assert [r.energy_joules for r in kernel.records()] == [
@@ -210,7 +212,7 @@ class TestPowerKernelOracle:
         assert [r.completion_time for r in kernel.records()] == [
             r.completion_time for r in generic.records()
         ]
-        for _record, engine in kernel._jobs:
+        for engine in built_engines[:4]:
             assert sum(engine.component_energy.values()) == pytest.approx(
                 engine.total_energy, rel=1e-9
             )

@@ -1,6 +1,8 @@
 """Multi-transfer coordination: shared-path jobs, admission control."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.netsim.link import NetworkPath
 from repro.netsim.params import TransferParams
 from repro.obs import Observer
 from repro.power.coefficients import CoefficientSet
-from repro.service import policy_by_name, tariff_by_name
+from repro.service import ServiceSimulator, policy_by_name, tariff_by_name
 from repro.service.fleet import FleetSimulator
 from repro.service.policies import plan_cache_clear
 from repro.service.requests import DEFAULT_TENANTS, bursty_workload
@@ -533,7 +535,7 @@ class TestPinnedHold:
     )
 
     @classmethod
-    def _run(cls, testbed, *, fast):
+    def _run(cls, testbed, engines, *, fast):
         sim = MultiTransferSimulator(
             testbed, topology="leaf-spine:s=2,l=2,spine=0.3",
             observer=Observer() if fast else None,
@@ -541,6 +543,7 @@ class TestPinnedHold:
         sizes = TestLoneCappedFlow.MANY * 2
         files = tuple(FileInfo(f"solo-{n}", int(size)) for n, size in enumerate(sizes))
         sim.submit("solo", [ChunkPlan("solo", files, TransferParams(concurrency=3))])
+        engine = engines[-1]
         caps, held = [], []
         for at, action in cls.EVENTS:
             while sim.time < at - 1e-9:
@@ -549,7 +552,7 @@ class TestPinnedHold:
                 else:
                     sim.step()
             held.append(sim._hold is not None)
-            caps.append(sim._jobs[0][1].capacity_cap)
+            caps.append(engine.capacity_cap)
             action(sim)
         if fast:
             TestRunUntil._drive_fast(sim)
@@ -557,14 +560,14 @@ class TestPinnedHold:
             TestRunUntil._drive_grid(sim)
         return sim, caps, held
 
-    def test_interventions_mid_pinned_span_match_grid(self, shared_testbed):
+    def test_interventions_mid_pinned_span_match_grid(self, shared_testbed, built_engines):
         testbed = dataclasses.replace(
             shared_testbed,
             source=dataclasses.replace(shared_testbed.source, server_count=2),
             destination=dataclasses.replace(shared_testbed.destination, server_count=2),
         )
-        fast, fast_caps, held = self._run(testbed, fast=True)
-        grid, grid_caps, _ = self._run(testbed, fast=False)
+        fast, fast_caps, held = self._run(testbed, built_engines, fast=True)
+        grid, grid_caps, _ = self._run(testbed, built_engines, fast=False)
         # every event lands right after a pinned round
         assert all(held[:-1])
         assert fast_caps == grid_caps
@@ -758,20 +761,19 @@ class TestBusyStreamCount:
         return sum(c.parallelism for c in engine.channels if c.busy)
 
     @pytest.fixture
-    def checked(self, monkeypatch):
+    def checked(self, monkeypatch, built_engines):
         """Simulators built through it have every engine's count checked
-        at the three points; returns ``(build, checks)``."""
+        at the three points; returns ``(build, checks, engines)`` with
+        every engine those simulators built."""
         import repro.netsim.multi as multi
         from repro.netsim.engine import TransferEngine
 
-        sims: list[MultiTransferSimulator] = []
         checks = {"round_start": 0, "assigned": 0, "round_end": 0}
         recount = self._recount
 
         def check_all(point: str) -> None:
-            for sim in sims:
-                for _record, engine in sim._jobs:
-                    assert engine.busy_streams == recount(engine), (point, sim.time)
+            for engine in built_engines:
+                assert engine.busy_streams == recount(engine), (point, engine.time)
             checks[point] += 1
 
         backgrounds = MultiTransferSimulator._backgrounds
@@ -802,11 +804,9 @@ class TestBusyStreamCount:
         monkeypatch.setattr(multi, "advance_clock", checked_advance_clock)
 
         def build() -> MultiTransferSimulator:
-            sim = MultiTransferSimulator(XSEDE, max_concurrent_jobs=3)
-            sims.append(sim)
-            return sim
+            return MultiTransferSimulator(XSEDE, max_concurrent_jobs=3)
 
-        return build, checks
+        return build, checks, built_engines
 
     @staticmethod
     def _advance_to(sim: MultiTransferSimulator, horizon: float, fast: bool) -> None:
@@ -841,7 +841,7 @@ class TestBusyStreamCount:
 
     @pytest.mark.parametrize("chaos", [False, True], ids=["work-stealing", "chaos"])
     def test_count_matches_a_recount_and_fast_matches_grid(self, checked, chaos):
-        build, checks = checked
+        build, checks, engines = checked
         self.readmitted: list[str] = []
         fast = self._day(build, fast=True, chaos=chaos)
         grid = self._day(build, fast=False, chaos=chaos)
@@ -850,7 +850,7 @@ class TestBusyStreamCount:
             assert rf.start_time == rg.start_time  # bit-equal
             assert rf.completion_time == rg.completion_time
             assert rf.energy_joules == pytest.approx(rg.energy_joules, rel=1e-9)
-        engines = [engine for sim in (fast, grid) for _record, engine in sim._jobs]
+        assert len(engines) == 2 * 4
         # the days exercise what the count must follow
         stolen = sum(
             len(engine.channels_for(name)) > state.plan.params.concurrency
@@ -862,3 +862,84 @@ class TestBusyStreamCount:
             assert sum(engine.server_failures for engine in engines) > 0
             assert sum(engine.channel_failures for engine in engines) > 0
             assert len(self.readmitted) == 2 * 3  # three running, both days
+
+
+class TestJobMemory:
+    """A finished job keeps only its record: its engine is freed, by
+    reference counting alone, when a driver stamps its completion."""
+
+    @pytest.fixture
+    def engine_refs(self, monkeypatch):
+        """Weak references to every engine a simulator builds, in build
+        order, with the cyclic collector off for the test."""
+        import repro.netsim.multi as multi
+
+        refs: list[weakref.ref] = []
+        build = multi.TransferEngine
+
+        def recording(*args, **kwargs):
+            engine = build(*args, **kwargs)
+            refs.append(weakref.ref(engine))
+            return engine
+
+        monkeypatch.setattr(multi, "TransferEngine", recording)
+        gc.collect()
+        gc.disable()
+        yield refs
+        gc.enable()
+
+    @staticmethod
+    def _alive(refs) -> list[bool]:
+        return [ref() is not None for ref in refs]
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["step", "run_until"])
+    def test_finished_engine_is_unreachable(self, shared_testbed, engine_refs, fast):
+        sim = MultiTransferSimulator(shared_testbed)
+        sim.submit("short", plan("short", n_files=4))
+        sim.submit("long", plan("long", n_files=20))
+        short, long = sim.records()
+        while not short.finished:
+            sim.run_until(1e7) if fast else sim.step()
+        assert not long.finished
+        assert self._alive(engine_refs) == [False, True]
+        sim.run()
+        assert long.finished
+        assert self._alive(engine_refs) == [False, False]
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["step", "run_until"])
+    @pytest.mark.parametrize("topology,max_concurrent", [
+        (None, 4),
+        # a lone flow pinned below its demand: the hold names its engine
+        ("leaf-spine:s=2,l=4,spine=0.1", 1),
+    ], ids=["single-link", "pinned-lone-flow"])
+    def test_only_unfinished_jobs_hold_engines(
+        self, engine_refs, monkeypatch, topology, max_concurrent, fast
+    ):
+        """After every driver call of a service day, exactly the queued
+        and running jobs' engines are alive."""
+        checked = []
+
+        def checking(driver):
+            def call(sim, *args):
+                result = driver(sim, *args)
+                unfinished = [not record.finished for record in sim.records()]
+                assert self._alive(engine_refs) == unfinished
+                checked.append(sum(unfinished))
+                return result
+            return call
+
+        for name in ("step", "run_until"):
+            monkeypatch.setattr(
+                MultiTransferSimulator, name,
+                checking(getattr(MultiTransferSimulator, name)),
+            )
+        day_s = 600.0
+        requests = bursty_workload(12, day_s=day_s, seed=9, size_scale=0.1)
+        plan_cache_clear()
+        report = ServiceSimulator(
+            XSEDE, policy=policy_by_name("run-now"),
+            tariff=tariff_by_name("peak-offpeak", period_s=day_s),
+            max_concurrent_jobs=max_concurrent, topology=topology, fast=fast,
+        ).run(requests)
+        assert report.finished_jobs == len(engine_refs) == 12
+        assert checked and not any(self._alive(engine_refs))

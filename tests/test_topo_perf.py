@@ -269,8 +269,14 @@ class TestCarryProperty:
 
 class TestRoundReuseBindingRegression:
     @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("spec,max_concurrent,pins", [
+        (TOPOLOGY_SPECS[1], 6, False),
+        # one job at a time on thin spines: lone flows capped below
+        # their demand floor, so the cached day takes pinned rounds
+        ("leaf-spine:s=2,l=4,spine=0.1", 1, True),
+    ], ids=["shared-flows", "pinned-lone-flow"])
     def test_day_identical_to_fresh_allocate_per_round(
-        self, placement, monkeypatch
+        self, spec, max_concurrent, pins, placement, monkeypatch
     ):
         """The pinned-round hold, the carry, the LRU and ``refill``
         together must make exactly the decisions a from-scratch
@@ -279,12 +285,22 @@ class TestRoundReuseBindingRegression:
         monkeypatched to an uncached cold solve, and demanding a
         byte-identical report (``_would_bind`` included: it shares the
         same ``refill`` entry point)."""
-        requests = bursty_workload(6, day_s=DAY, seed=9, size_scale=0.2)
-        kwargs = dict(topology=TOPOLOGY_SPECS[1], placement=placement,
-                      placement_seed=7, max_concurrent_jobs=6)
-        cached = run_day(requests, **kwargs)
-
         import repro.netsim.multi as multi
+
+        pinned_key = multi.MultiTransferSimulator._pinned_key
+        keyed = []
+
+        def counted_key(self, engine):
+            keyed.append(engine)
+            return pinned_key(self, engine)
+
+        monkeypatch.setattr(multi.MultiTransferSimulator, "_pinned_key", counted_key)
+        requests = bursty_workload(6, day_s=DAY, seed=9, size_scale=0.2)
+        kwargs = dict(topology=spec, placement=placement,
+                      placement_seed=7, max_concurrent_jobs=max_concurrent)
+        cached = run_day(requests, **kwargs)
+        # only a pinned round (or the hold check it arms) reads the key
+        assert bool(keyed) == pins
 
         def cold(topology, flows, previous, *, changed=None,
                  max_rounds=64, cache=None):

@@ -165,7 +165,7 @@ class TestChaosWiring:
         LinkScale(time=1.0, scale=1.0, bottleneck="spine0").apply(None, sim)
         assert sim.topology.capacity("spine0") == pytest.approx(nominal)
 
-    def test_brownout_propagates_to_late_submits(self):
+    def test_brownout_propagates_to_late_submits(self, built_engines):
         """The explicit ``_link_scale_active`` flag (not a float
         compare against the 1.0 sentinel): once a brownout has been
         injected, every later submit inherits the *current* factor —
@@ -180,12 +180,12 @@ class TestChaosWiring:
         assert sim._link_scale_active is True
         late = sim.submit("late", _plan("late"))
         del mid, late
-        by_name = {record.name: engine for record, engine in sim._jobs}
+        by_name = dict(zip((r.name for r in sim.records()), built_engines))
         assert by_name["mid"].link_scale == 1.0  # restored with the rest
         assert by_name["late"].link_scale == 1.0
         sim.set_link_scale(0.25)
         assert sim.submit("dimmed", _plan("dimmed"))
-        assert sim._jobs[-1][1].link_scale == 0.25
+        assert built_engines[-1].link_scale == 0.25
 
     def test_global_scale_reaches_topology(self):
         sim = MultiTransferSimulator(XSEDE, topology="single-link")
