@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "weighted | round-robin | topology-aware "
                             "(needs --topology; shards become leaf/pod "
                             "pairs) (default tenant-hash)")
-    fleet.add_argument("--steal-threshold", type=float, default=4.0,
+    fleet.add_argument("--steal-threshold", default=4.0,
+                       type=_finite("--steal-threshold", "steal_threshold", zero_ok=True),
                        help="work-stealing saturation factor over the fleet's "
                             "mean relative backlog; 0 disables (default 4.0)")
     fleet.add_argument("--workers", type=int, default=None,
@@ -255,14 +256,16 @@ class _FlagRangeError(Exception):
     prints it as one stderr line and exits 2."""
 
 
-def _finite_positive(flag: str, field: str):
-    """An argparse ``type=`` for ``flag``: a finite number > 0. A value
-    outside that is reported with the ``field`` it sets and the flag."""
+def _finite(flag: str, field: str, *, zero_ok: bool = False):
+    """An argparse ``type=`` for ``flag``: a finite number > 0, or >= 0
+    with ``zero_ok``. A value outside that is reported with the
+    ``field`` it sets and the flag."""
+    bound = ">= 0" if zero_ok else "> 0"
 
     def parse(text: str) -> float:
         value = float(text)
-        if not (math.isfinite(value) and value > 0):
-            raise _FlagRangeError(f"{field} must be > 0 and finite, got {flag} {text}")
+        if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+            raise _FlagRangeError(f"{field} must be {bound} and finite, got {flag} {text}")
         return value
 
     parse.__name__ = "float"  # argparse's "invalid float value" wording
@@ -287,7 +290,7 @@ def _add_day_options(
                              "green-midday (default peak-offpeak)")
     parser.add_argument("--jobs", type=int, default=jobs,
                         help=f"tenant requests over the day (default {jobs})")
-    parser.add_argument("--day", type=_finite_positive("--day", "day_s"), default=3600.0,
+    parser.add_argument("--day", type=_finite("--day", "day_s"), default=3600.0,
                         help="length of the simulated day in seconds; job "
                              "sizes (and chaos fault timings) scale "
                              "proportionally (default 3600)")

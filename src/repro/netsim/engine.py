@@ -975,7 +975,8 @@ class TransferEngine:
         rebuilt from a float horizon ``time + max_steps * dt``, which at
         clocks above about 9000 s can round to one step more. :meth:`run`
         derives it from its horizon; lock-step callers such as
-        ``MultiTransferSimulator.run_until`` pass their round size.
+        ``MultiTransferSimulator.run_until`` pass their round size or
+        the steps left to their horizon.
         """
         if max_steps <= 1:
             return max_steps
@@ -1267,6 +1268,34 @@ class TransferEngine:
             self._recover_servers()
         busy = self._assign_work()
         return busy, self._allocate_rates(busy, self._busy_streams)
+
+    def rates_hold(self, busy: list[Channel], rates: Sequence[float]) -> bool:
+        """Whether ``busy``, a prepared busy list not yet advanced, is
+        still allotted exactly ``rates`` at the current competing
+        streams, capacity cap and link scale (a memo hit when none of
+        them moved). A lock-step coordinator asks this at a round
+        boundary inside the span ``busy`` was prepared for."""
+        return self._allocate_rates(busy, self._busy_streams) == rates
+
+    def quiet_for(self, busy: list[Channel], rates: Sequence[float], steps: int) -> bool:
+        """Whether no in-flight file of ``busy`` can complete at the
+        frozen ``rates`` before ``steps`` whole ``dt`` steps have ended
+        (with the 1e-9 s guard), no server is down and the competing
+        stream count is a constant.
+
+        Then :meth:`stable_steps` and :meth:`count_stable_steps` both
+        return at least ``steps``: every event they look for but a
+        server recovery or a traffic change starts with a file
+        completion. This answers it without the chunk view those two
+        build, and stops at the first file due.
+        """
+        if self._down_servers or callable(self.background_traffic):
+            return False
+        dt = self.dt
+        for c, r in zip(busy, rates):
+            if r > 0.0 and (c.gap_remaining + c.current.remaining / r - 1e-9) // dt < steps:
+                return False
+        return True
 
     def last_completion_time(self, busy: list[Channel], rates: Sequence[float]) -> float:
         """Seconds until every in-flight file of ``busy`` has completed

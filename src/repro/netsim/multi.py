@@ -97,6 +97,26 @@ class JobRecord:
         return self.total_bytes / elapsed if elapsed > 0 else 0.0
 
 
+@dataclass(slots=True, eq=False)
+class _Span:
+    """An engine's open span in :meth:`MultiTransferSimulator.run_until`:
+    the allocation :meth:`TransferEngine.prepare_step` froze and the
+    steps run at it that the engine has not been advanced by yet."""
+
+    busy: list[Channel]
+    rates: tuple[float, ...]
+    #: Steps run since the span opened.
+    steps: int = 0
+    #: Steps from the span's start known to keep its busy set and the
+    #: stream count its peers sample (0 until bounded).
+    limit: int = 0
+    #: The bound that set ``limit`` (a ``multi.round_bound`` reason).
+    reason: str = "horizon"
+    #: ``limit`` is an event's or the horizon's, not just the cap it
+    #: was computed under.
+    final: bool = False
+
+
 class MultiTransferSimulator:
     """Lock-step coordinator for jobs sharing a testbed's path.
 
@@ -810,12 +830,35 @@ class MultiTransferSimulator:
           :meth:`_impose_caps`);
         * no queued arrival becomes admittable mid-span.
 
+        While two or more jobs run, an engine is advanced only when its
+        own allocation moves. Each keeps an *open span*: the busy list
+        and rates of its last :meth:`TransferEngine.prepare_step`, the
+        steps run since, and its own bound — ``stable_steps`` and
+        ``count_stable_steps`` from the span's start, up to the steps
+        left to ``horizon`` (taken lazily, see the bound loop below and
+        DESIGN.md §4). A peer's event ends the round, not
+        the span: at the next boundary the engine skips work
+        assignment, both bounds and the advance as long as the steps
+        it ran are below its bound and
+        :meth:`TransferEngine.rates_hold` finds its unchanged busy list
+        allotted the same rates under the new competing streams and
+        caps; the rest of its bound joins the round's ``k``. It is
+        advanced once, by every step it ran, when its rates move, when
+        its bound is reached, and before this method returns. That is
+        exact: inside its own and count bounds the busy set and the
+        stream count the peers sample cannot change, so a boundary can
+        move the engine only through its rates, which are re-checked at
+        every one. A merged span is one the fast path would already
+        take if no peer cut it, and it integrates energy at its average
+        load like any other span. A lone job's span closes with its
+        round.
+
         Time advances through ``advance_clock``, bit-equal to the grid
         loop's repeated ``+= dt`` additions, so round boundaries and
         completion timestamps are bit-equal to grid stepping. The
         method returns at the first completion so the caller can bill
         and re-admit at the completion's grid time, exactly as a
-        per-step loop would.
+        per-step loop would; every engine is then fully advanced.
 
         With an observer attached, every round bumps one counter
         ``multi.round_bound.<reason>``: ``macro`` for a round of two or
@@ -828,12 +871,14 @@ class MultiTransferSimulator:
         dt = self.dt
         observer = self.observer
         completed: list[JobRecord] = []
+        spans: dict[TransferEngine, _Span] = {}
         while self.time < horizon - 1e-9:
             self._admit_jobs()
             running = self._active
             if not running:
                 break
-            k_cap = max(1, math.ceil((horizon - self.time - 1e-9) / dt))
+            k_left = max(1, math.ceil((horizon - self.time - 1e-9) / dt))
+            k_cap = k_left
             # the bound that set k last: it names a single-step round
             bound = "horizon"
             if k_cap > 1 and self._unstarted:
@@ -858,12 +903,13 @@ class MultiTransferSimulator:
             for engine, background in zip(engines, backgrounds):
                 engine.set_background_streams(background)
             self._impose_caps(running)
-            prepared_busy: list[list[Channel]] = []
-            prepared_rates: list[tuple[float, ...]] = []
-            for engine in engines:
-                busy, rates = engine.prepare_step()
-                prepared_busy.append(busy)
-                prepared_rates.append(rates)
+            for record, engine in running:
+                span = spans.get(engine)
+                if span is not None:
+                    if engine.rates_hold(span.busy, span.rates):
+                        continue
+                    self._close_span(record, engine, spans.pop(engine))
+                spans[engine] = _Span(*engine.prepare_step())
             # With a topology attached, even a lone engine may be
             # coupled: its rate cap is recomputed every round from its
             # own pre-assignment busy channels. A count dip does *not*
@@ -886,8 +932,9 @@ class MultiTransferSimulator:
             pinned = False
             if k > 1 and n == 1 and capped:
                 cap = engines[0].capacity_cap
+                busy, rates = spans[engines[0]].busy, spans[engines[0]].rates
                 pinned = cap is not None and (
-                    self._demand_floor(engines[0], prepared_busy[0]) > cap * (1.0 + 1e-9)
+                    self._demand_floor(engines[0], busy) > cap * (1.0 + 1e-9)
                 )
                 if pinned:
                     self._hold = self._pinned_key(engines[0])
@@ -897,8 +944,7 @@ class MultiTransferSimulator:
                 # interior boundary before the last first-completion
                 # can find every channel file-less. A span with no dip
                 # at all (``count_stable_steps``) is safe as well.
-                rates = prepared_rates[0]
-                t_all = engines[0].last_completion_time(prepared_busy[0], rates)
+                t_all = engines[0].last_completion_time(busy, rates)
                 if t_all < math.inf:
                     k_all = math.ceil((t_all - 1e-9) / dt)
                     if k_all < k:
@@ -909,7 +955,8 @@ class MultiTransferSimulator:
                 # Work assignment refilled or re-bound a channel: the
                 # count the peers sample next round already differs
                 # from the frozen one, so only one exact step is safe.
-                # (``busy_streams`` now reads work assignment's count.)
+                # (``busy_streams`` now reads work assignment's count;
+                # an engine whose span stayed open did no assignment.)
                 refilled = False
                 for engine, count in zip(engines, counts0):
                     if engine.busy_streams != count:
@@ -922,23 +969,54 @@ class MultiTransferSimulator:
                     # (post-assignment) demand still clears every
                     # bottleneck — interior grid steps stay uncapped
                     # too, so the legacy span bounds apply unchanged
-            if k > 1:
-                for i, engine in enumerate(engines):
-                    own = engine.stable_steps(prepared_busy[i], prepared_rates[i], k)
-                    if own < k:
-                        k, bound = max(1, own), "own"
-                        if k == 1:
-                            break
-                    if coupled:
-                        count = engine.count_stable_steps(prepared_rates[i], k)
-                        if count < k:
-                            k, bound = count, "count"
-                            if k == 1:
-                                break
-            for i, (record, engine) in enumerate(running):
-                before_energy = engine.total_energy
-                engine.advance_prepared(prepared_busy[i], prepared_rates[i], k)
-                record.energy_joules += engine.total_energy - before_energy
+            # Every span is bounded from its start, and a bound that
+            # would end with this round is taken again:
+            # * an own bound taken before a file completed inside the
+            #   span assumed the smallest queued file after it (the drain
+            #   bound), so the engine is advanced to this boundary and
+            #   prepared afresh, as it would be with no open span;
+            # * a bound that only reached the cap it was computed under
+            #   is extended: to one step past this round for a new span
+            #   (its peers usually cut it sooner), to the horizon for one
+            #   that outlived a round. A new span with no file due before
+            #   that cap takes it unchecked; one with a file due in a
+            #   single-step round closes with the round.
+            # A lone job's span is capped at its round and closes with it.
+            for record, engine in running:
+                span = spans[engine]
+                if (
+                    span.steps
+                    and span.reason == "own"
+                    and span.limit - span.steps <= k
+                    and not engine.quiet_for(span.busy, span.rates, span.steps)
+                ):
+                    self._close_span(record, engine, spans.pop(engine))
+                    span = spans[engine] = _Span(*engine.prepare_step())
+                if not span.final and span.limit - span.steps <= k:
+                    busy, rates, steps = span.busy, span.rates, span.steps
+                    cap = k if n == 1 else steps + k_left if steps else k + 1
+                    limit, reason = cap, "horizon"
+                    if n == 1 or steps or not engine.quiet_for(busy, rates, cap):
+                        if n > 1 and not steps and k == 1:
+                            limit = 1
+                        elif cap > 1:
+                            own = engine.stable_steps(busy, rates, cap)
+                            if own < cap:
+                                limit, reason = max(1, own), "own"
+                            if coupled and limit > 1:
+                                count = engine.count_stable_steps(rates, limit)
+                                if count < limit:
+                                    limit, reason = count, "count"
+                    span.limit, span.reason = limit, reason
+                    span.final = limit < cap or cap >= steps + k_left
+                left = span.limit - span.steps
+                if left < k:
+                    k, bound = left, span.reason
+            for record, engine in running:
+                span = spans[engine]
+                span.steps += k
+                if span.steps >= span.limit:
+                    self._close_span(record, engine, spans.pop(engine))
             # bit-equal to the grid's repeated additions
             self.time = advance_clock(self.time, dt, k)
             if k > 1:
@@ -958,7 +1036,20 @@ class MultiTransferSimulator:
             if completed:
                 self._drop_finished()
                 break
+        if spans:
+            for record, engine in self._active:
+                span = spans.pop(engine, None)
+                if span is not None:
+                    self._close_span(record, engine, span)
         return completed
+
+    @staticmethod
+    def _close_span(record: JobRecord, engine: TransferEngine, span: _Span) -> None:
+        """Advance ``engine`` by the steps its span ran, at the span's
+        frozen allocation, and book the energy on ``record``."""
+        before_energy = engine.total_energy
+        engine.advance_prepared(span.busy, span.rates, span.steps)
+        record.energy_joules += engine.total_energy - before_energy
 
     def run(
         self, *, max_time: Seconds = 1e7, on_timeout: str = "raise"

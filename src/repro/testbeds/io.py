@@ -23,6 +23,7 @@ expected.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from collections.abc import Callable
 
@@ -40,25 +41,52 @@ __all__ = ["testbed_from_dict", "testbed_to_dict", "load_testbed", "save_testbed
 
 
 # ----------------------------------------------------------------------
+# numbers
+# ----------------------------------------------------------------------
+
+def _finite(raw, field: str) -> float:
+    """``raw`` as a finite float. JSON carries ``NaN`` and ``Infinity``,
+    and a non-finite rate or delay would only fail later, inside a run,
+    so the ``ValueError`` names the ``field`` instead."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{field} must be finite, got {raw!r}")
+    return value
+
+
+def _numbers(section: dict, where: str) -> Callable[..., float]:
+    """A reader of ``section``'s numeric fields through :func:`_finite`,
+    named ``where.key``: ``read(key)`` for a required one (``KeyError``
+    if absent), ``read(key, default)`` for an optional one."""
+
+    def read(key: str, default: float | None = None) -> float:
+        raw = section[key] if default is None else section.get(key, default)
+        return _finite(raw, f"{where}.{key}" if where else key)
+
+    return read
+
+
+# ----------------------------------------------------------------------
 # disks
 # ----------------------------------------------------------------------
 
 def _disk_from_dict(data: dict) -> DiskSubsystem:
     kind = data.get("type")
+    read = _numbers(data, "server.disk")
     if kind == "single":
         return SingleDisk(
-            peak_rate=float(data["peak_mbytes"]) * units.MB,
-            contention_alpha=float(data.get("contention_alpha", 0.12)),
+            peak_rate=read("peak_mbytes") * units.MB,
+            contention_alpha=read("contention_alpha", 0.12),
         )
     if kind == "parallel":
         return ParallelDisk(
-            per_accessor_rate=float(data["per_accessor_mbytes"]) * units.MB,
-            array_rate=float(data["array_mbytes"]) * units.MB,
+            per_accessor_rate=read("per_accessor_mbytes") * units.MB,
+            array_rate=read("array_mbytes") * units.MB,
         )
     if kind == "powerlaw":
         return PowerLawDisk(
-            single_rate=float(data["single_mbytes"]) * units.MB,
-            exponent=float(data["exponent"]),
+            single_rate=read("single_mbytes") * units.MB,
+            exponent=read("exponent"),
         )
     raise ValueError(f"unknown disk type {kind!r}; known: single, parallel, powerlaw")
 
@@ -90,25 +118,30 @@ def _disk_to_dict(disk: DiskSubsystem) -> dict:
 # ----------------------------------------------------------------------
 
 def _dataset_factory_from_dict(data: dict) -> Callable[[], Dataset]:
+    """The dataset factory a ``dataset`` section describes; its numbers
+    are read (and checked) now, not when the factory first runs."""
     kind = data.get("type")
-    seed = int(data.get("seed", 0))
+    read = _numbers(data, "dataset")
+    seed = int(read("seed", 0))
     if kind == "log_uniform":
-        total = float(data["total_gb"]) * units.GB
-        lo = float(data["min_mb"]) * units.MB
-        hi = float(data["max_gb"]) * units.GB if "max_gb" in data else float(data["max_mb"]) * units.MB
+        total = read("total_gb") * units.GB
+        lo = read("min_mb") * units.MB
+        hi = read("max_gb") * units.GB if "max_gb" in data else read("max_mb") * units.MB
         return lambda: log_uniform_dataset(total, lo, hi, seed=seed)
     if kind == "uniform":
-        return lambda: uniform_dataset(
-            int(data["file_count"]), int(float(data["file_mb"]) * units.MB)
-        )
+        count = int(read("file_count"))
+        size = int(read("file_mb") * units.MB)
+        return lambda: uniform_dataset(count, size)
     if kind == "banded":
-        total = float(data["total_gb"]) * units.GB
-        bands = tuple(
-            SizeBand(float(b["fraction"]), float(b["min_mb"]) * units.MB,
-                     float(b["max_mb"]) * units.MB)
-            for b in data["bands"]
-        )
-        return lambda: banded_dataset(total, bands, seed=seed)
+        total = read("total_gb") * units.GB
+        bands = []
+        for i, band in enumerate(data["bands"]):
+            read_band = _numbers(band, f"dataset.bands[{i}]")
+            bands.append(SizeBand(
+                read_band("fraction"), read_band("min_mb") * units.MB,
+                read_band("max_mb") * units.MB,
+            ))
+        return lambda: banded_dataset(total, tuple(bands), seed=seed)
     if kind == "preset":
         name = data["name"]
         if name not in WORKLOAD_PRESETS:
@@ -125,38 +158,41 @@ def _dataset_factory_from_dict(data: dict) -> Callable[[], Dataset]:
 
 def testbed_from_dict(data: dict) -> Testbed:
     """Build a :class:`Testbed` from a plain dict (see module docs)."""
-    path_data = data["path"]
+    read = _numbers(data, "")
+    read_path = _numbers(data["path"], "path")
     path = NetworkPath(
-        bandwidth=float(path_data["bandwidth_gbps"]) * units.gbps(1),
-        rtt=units.ms(float(path_data["rtt_ms"])),
-        tcp_buffer=float(path_data["tcp_buffer_mb"]) * units.MB,
-        protocol_efficiency=float(path_data.get("protocol_efficiency", 0.93)),
-        congestion_knee=int(path_data.get("congestion_knee", 24)),
-        congestion_slope=float(path_data.get("congestion_slope", 0.01)),
+        bandwidth=read_path("bandwidth_gbps") * units.gbps(1),
+        rtt=units.ms(read_path("rtt_ms")),
+        tcp_buffer=read_path("tcp_buffer_mb") * units.MB,
+        protocol_efficiency=read_path("protocol_efficiency", 0.93),
+        congestion_knee=int(read_path("congestion_knee", 24)),
+        congestion_slope=read_path("congestion_slope", 0.01),
     )
     server_data = data["server"]
+    read_server = _numbers(server_data, "server")
     server = ServerSpec(
         name=server_data.get("name", f"{data['name']}-server"),
-        cores=int(server_data["cores"]),
-        tdp_watts=float(server_data["tdp_watts"]),
-        nic_rate=float(server_data["nic_gbps"]) * units.gbps(1),
+        cores=int(read_server("cores")),
+        tdp_watts=read_server("tdp_watts"),
+        nic_rate=read_server("nic_gbps") * units.gbps(1),
         disk=_disk_from_dict(server_data["disk"]),
-        per_channel_rate=float(server_data["per_channel_rate_mbytes"]) * units.MB,
-        core_rate=float(server_data["core_rate_mbytes"]) * units.MB,
-        channel_cpu_overhead=float(server_data.get("channel_cpu_overhead", 0.05)),
-        stream_cpu_overhead=float(server_data.get("stream_cpu_overhead", 0.02)),
-        active_overhead=float(server_data.get("active_overhead", 0.10)),
-        thrash_factor=float(server_data.get("thrash_factor", 0.15)),
-        per_file_overhead=float(server_data.get("per_file_overhead", 0.01)),
+        per_channel_rate=read_server("per_channel_rate_mbytes") * units.MB,
+        core_rate=read_server("core_rate_mbytes") * units.MB,
+        channel_cpu_overhead=read_server("channel_cpu_overhead", 0.05),
+        stream_cpu_overhead=read_server("stream_cpu_overhead", 0.02),
+        active_overhead=read_server("active_overhead", 0.10),
+        thrash_factor=read_server("thrash_factor", 0.15),
+        per_file_overhead=read_server("per_file_overhead", 0.01),
     )
-    count = int(data.get("server_count", 1))
-    coeff_data = data.get("coefficients", {})
+    count = int(read("server_count", 1))
+    read_coeff = _numbers(data.get("coefficients", {}), "coefficients")
     coefficients = CoefficientSet(
-        memory=float(coeff_data.get("memory", 0.01)),
-        disk=float(coeff_data.get("disk", 0.08)),
-        nic=float(coeff_data.get("nic", 0.05)),
-        scale=float(coeff_data.get("scale", 1.0)),
+        memory=read_coeff("memory", 0.01),
+        disk=read_coeff("disk", 0.08),
+        nic=read_coeff("nic", 0.05),
+        scale=read_coeff("scale", 1.0),
     )
+    levels = data.get("concurrency_levels", (1, 2, 4, 6, 8, 10, 12))
     return Testbed(
         name=str(data["name"]),
         path=path,
@@ -167,10 +203,13 @@ def testbed_from_dict(data: dict) -> Testbed:
             data.get("dataset", {"type": "log_uniform", "total_gb": 10,
                                  "min_mb": 10, "max_gb": 1})
         ),
-        concurrency_levels=tuple(data.get("concurrency_levels", (1, 2, 4, 6, 8, 10, 12))),
-        brute_force_max_concurrency=int(data.get("brute_force_max_concurrency", 20)),
-        sla_reference_concurrency=int(data.get("sla_reference_concurrency", 12)),
-        engine_dt=float(data.get("engine_dt", 0.25)),
+        concurrency_levels=tuple(
+            int(_finite(level, f"concurrency_levels[{i}]"))
+            for i, level in enumerate(levels)
+        ),
+        brute_force_max_concurrency=int(read("brute_force_max_concurrency", 20)),
+        sla_reference_concurrency=int(read("sla_reference_concurrency", 12)),
+        engine_dt=read("engine_dt", 0.25),
     )
 
 

@@ -161,6 +161,33 @@ class TestCommands:
         assert captured.err == f"day_s must be > 0 and finite, got --day {value}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_steal_threshold_not_finite_and_non_negative_exits_2(self, value, capsys):
+        # the ``=`` form: argparse reads a separate "-1" as an option
+        assert main(["fleet-service", f"--steal-threshold={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"steal_threshold must be >= 0 and finite, got --steal-threshold {value}\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value,expected", [("0", None), ("2.5", 2.5)])
+    def test_steal_threshold_zero_disables_stealing(self, value, expected, monkeypatch):
+        import repro.service
+
+        seen = []
+
+        class Recording(repro.service.FleetSimulator):
+            def __init__(self, *args, **kwargs):
+                seen.append(kwargs["steal_threshold"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(repro.service, "FleetSimulator", Recording)
+        argv = ["fleet-service", "--steal-threshold", value, "--jobs", "2",
+                "--day", "60", "--workers", "1"]
+        assert main(argv) == 0
+        assert seen == [expected]
+
     TESTBED_COMMANDS = [
         "dataset", "transfer", "sweep", "sla", "advise", "fleet", "service",
         "fleet-service", "chaos", "topo", "pareto", "report",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import random
 import weakref
 
 import pytest
@@ -451,6 +452,108 @@ class TestRunUntil:
             assert rf.energy_joules == pytest.approx(
                 rg.energy_joules, rel=1e-9
             )
+
+
+class TestOpenSpans:
+    """While two or more jobs run, ``run_until`` advances an engine only
+    when its own allocation moves: a peer's event ends the round but not
+    the engine's span while its rates hold. Each day here must match the
+    per-``step()`` grid: bit-equal times, energy within 1e-9."""
+
+    @staticmethod
+    def _assert_matches_grid(fast, grid):
+        for rf, rg in zip(fast.records(), grid.records(), strict=True):
+            assert rf.start_time == rg.start_time          # bit-equal
+            assert rf.completion_time == rg.completion_time
+            assert rf.energy_joules == pytest.approx(rg.energy_joules, rel=1e-9)
+
+    @staticmethod
+    def _seeded_day(sim: MultiTransferSimulator, seed: int) -> None:
+        rng = random.Random(seed)
+        for i in range(rng.randint(2, 4)):
+            sim.submit(
+                f"s{i}",
+                plan(f"s{i}", n_files=rng.randint(1, 12),
+                     size=rng.choice((5, 20, 60, 150)) * units.MB,
+                     cc=rng.randint(1, 3)),
+                arrival_time=rng.choice((0.0, 0.0, 0.5, 1.3, 4.0)),
+            )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_days_match_grid(self, shared_testbed, seed):
+        sims = []
+        for drive in (TestRunUntil._drive_fast, TestRunUntil._drive_grid):
+            sim = MultiTransferSimulator(shared_testbed)
+            self._seeded_day(sim, seed)
+            drive(sim)
+            sims.append(sim)
+        self._assert_matches_grid(*sims)
+
+    @staticmethod
+    def _logged(monkeypatch) -> list[tuple]:
+        """Every ``rates_hold`` answer and ``advance_prepared`` call, in
+        call order, as ``(kind, engine, value)``."""
+        from repro.netsim.engine import TransferEngine
+
+        log: list[tuple] = []
+        hold, advance = TransferEngine.rates_hold, TransferEngine.advance_prepared
+
+        def rates_hold(self, busy, rates):
+            held = hold(self, busy, rates)
+            log.append(("hold", self, held))
+            return held
+
+        def advance_prepared(self, busy, rates, steps):
+            log.append(("advance", self, steps))
+            return advance(self, busy, rates, steps)
+
+        monkeypatch.setattr(TransferEngine, "rates_hold", rates_hold)
+        monkeypatch.setattr(TransferEngine, "advance_prepared", advance_prepared)
+        return log
+
+    def _day(self, testbed, peer_cc, *, fast):
+        """A long one-file job beside a peer whose small files complete
+        every fraction of a second. One channel is capped at 60 MB/s
+        on a 125 MB/s link: a one-channel peer leaves the long job that
+        cap whatever its own count; a three-channel peer takes the link
+        share the long job gets."""
+        sim = MultiTransferSimulator(testbed)
+        sim.submit("long", plan("long", n_files=1, size=1 * units.GB, cc=1))
+        sim.submit("peer", plan("peer", n_files=30, size=12 * units.MB, cc=peer_cc))
+        if fast:
+            TestRunUntil._drive_fast(sim)
+        else:
+            TestRunUntil._drive_grid(sim)
+        return sim
+
+    def test_peer_completions_leave_the_span_open(
+        self, shared_testbed, built_engines, monkeypatch
+    ):
+        grid = self._day(shared_testbed, 1, fast=False)
+        log = self._logged(monkeypatch)
+        fast = self._day(shared_testbed, 1, fast=True)
+        self._assert_matches_grid(fast, grid)
+        long_engine = built_engines[2]
+        rounds = fast.macro_rounds + fast.fixed_rounds
+        assert long_engine.macro_steps + long_engine.fixed_steps < rounds
+        held = [value for kind, engine, value in log
+                if kind == "hold" and engine is long_engine]
+        assert held and all(held)
+
+    def test_a_rate_change_cuts_the_span(
+        self, shared_testbed, built_engines, monkeypatch
+    ):
+        grid = self._day(shared_testbed, 3, fast=False)
+        log = self._logged(monkeypatch)
+        fast = self._day(shared_testbed, 3, fast=True)
+        self._assert_matches_grid(fast, grid)
+        long_engine = built_engines[2]
+        mine = [(kind, value) for kind, engine, value in log if engine is long_engine]
+        cuts = [i for i, (kind, value) in enumerate(mine) if (kind, value) == ("hold", False)]
+        assert cuts
+        # the engine is advanced by the steps it ran, before anything
+        # else happens to it
+        assert all(mine[i + 1][0] == "advance" and mine[i + 1][1] >= 1 for i in cuts)
 
 
 class TestLoneCappedFlow:

@@ -1,6 +1,7 @@
 """Testbed JSON (de)serialization and CLI integration."""
 
 import json
+import math
 
 import pytest
 
@@ -135,3 +136,87 @@ class TestAlgorithmsOnCustomTestbed:
         tb = build_testbed(minimal_definition())
         outcome = run_algorithm(tb, "HTEE", 4)
         assert outcome.bytes_moved == pytest.approx(tb.dataset().total_size)
+
+
+def _numeric_fields(node, name: str = ""):
+    """``(field name, key path)`` of every number in a testbed file, named
+    as the loader's errors name them (``path.rtt_ms``,
+    ``dataset.bands[0].fraction``, ``concurrency_levels[2]``)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_fields(value, f"{name}.{key}" if name else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_fields(value, f"{name}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield name
+
+
+#: Testbed files that between them carry every numeric field the loader
+#: reads: each disk type and each dataset type that has numbers.
+FULL_DEFINITIONS = [
+    dump_testbed(XSEDE, {"type": "log_uniform", "total_gb": 10, "min_mb": 10,
+                         "max_gb": 1, "seed": 3}),
+    {**dump_testbed(XSEDE, {"type": "uniform", "file_count": 10, "file_mb": 100}),
+     "server": {**dump_testbed(XSEDE)["server"],
+                "disk": {"type": "single", "peak_mbytes": 74, "contention_alpha": 0.1}}},
+    {**dump_testbed(XSEDE, {"type": "banded", "total_gb": 1, "bands": [
+        {"fraction": 1.0, "min_mb": 1, "max_mb": 10}]}),
+     "server": {**dump_testbed(XSEDE)["server"],
+                "disk": {"type": "powerlaw", "single_mbytes": 60, "exponent": 0.2}}},
+    dump_testbed(XSEDE, {"type": "log_uniform", "total_gb": 10, "min_mb": 10,
+                         "max_mb": 900}),
+]
+
+#: Each numeric field once, with the first definition that carries it.
+NUMERIC_FIELDS = {}
+for _definition in FULL_DEFINITIONS:
+    for _field in _numeric_fields(_definition):
+        NUMERIC_FIELDS.setdefault(_field, _definition)
+
+
+def _with_value(definition: dict, field: str, value: float) -> dict:
+    """A deep copy of ``definition`` with ``field`` set to ``value``."""
+    data = json.loads(json.dumps(definition))
+    parts = field.replace("[", ".[").split(".")
+    node = data
+    for part in parts[:-1]:
+        node = node[int(part[1:-1])] if part.startswith("[") else node[part]
+    last = parts[-1]
+    if last.startswith("["):
+        node[int(last[1:-1])] = value
+    else:
+        node[last] = value
+    return data
+
+
+class TestNonFiniteFields:
+    """A testbed file may carry ``NaN`` or ``Infinity`` (Python's ``json``
+    reads and writes both). Every numeric field is checked at load time,
+    so the CLI exits 2 with one line naming the field instead of
+    computing with it."""
+
+    @pytest.mark.parametrize("definition", FULL_DEFINITIONS)
+    def test_definitions_load(self, definition):
+        build_testbed(definition)
+
+    def test_every_section_is_covered(self):
+        assert {"path.rtt_ms", "engine_dt", "server.disk.contention_alpha",
+                "server.disk.exponent", "dataset.bands[0].fraction",
+                "dataset.file_count", "dataset.max_mb", "dataset.seed",
+                "coefficients.scale", "concurrency_levels[0]",
+                "server_count"} <= set(NUMERIC_FIELDS)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+    def test_non_finite_field_exits_2(self, field, value, tmp_path, capsys):
+        path = tmp_path / "tb.json"
+        path.write_text(json.dumps(_with_value(NUMERIC_FIELDS[field], field, value)))
+        assert main(["service", "-t", str(path), "--jobs", "2", "--day", "60"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"cannot load testbed {str(path)!r}: invalid definition "
+            f"({field} must be finite, got {value!r})\n"
+        )
+        assert captured.out == ""
