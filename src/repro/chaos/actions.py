@@ -25,6 +25,7 @@ intervention list on every shard, shipping it through a process pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Optional
 
@@ -44,9 +45,17 @@ __all__ = [
 ]
 
 
+def _check(field: str, value: float, *, zero_ok: bool = False) -> None:
+    """Reject a ``value`` for ``field`` that is not finite and > 0 (or
+    >= 0 with ``zero_ok``): a fleet replays every intervention on every
+    shard, and a NaN would reach each one's memo keys."""
+    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ValueError(f"{field} must be {bound} and finite, got {value!r}")
+
+
 def _check_time(time: Seconds) -> None:
-    if time < 0:
-        raise ValueError("intervention time must be >= 0")
+    _check("intervention time", time, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -67,8 +76,7 @@ class LinkScale:
 
     def __post_init__(self) -> None:
         _check_time(self.time)
-        if self.scale <= 0:
-            raise ValueError("link scale must be > 0")
+        _check("link scale", self.scale)
 
     def apply(
         self, service: "ServiceSimulator", sim: MultiTransferSimulator
@@ -96,8 +104,7 @@ class AmbientTraffic:
 
     def __post_init__(self) -> None:
         _check_time(self.time)
-        if self.streams < 0:
-            raise ValueError("ambient streams must be >= 0")
+        _check("ambient streams", self.streams, zero_ok=True)
 
     def apply(
         self, service: "ServiceSimulator", sim: MultiTransferSimulator
@@ -127,8 +134,7 @@ class ServerOutage:
             raise ValueError("side must be 'src' or 'dst'")
         if self.index < 0:
             raise ValueError("server index must be >= 0")
-        if self.downtime <= 0:
-            raise ValueError("downtime must be > 0")
+        _check("downtime", self.downtime)
 
     def apply(
         self, service: "ServiceSimulator", sim: MultiTransferSimulator

@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sla", help="SLAEE target sweep (Figures 5-7)")
     _add_testbed(p)
-    p.add_argument("--targets", nargs="+", type=float, default=list(PAPER_SLA_TARGETS),
+    p.add_argument("--targets", nargs="+", default=list(PAPER_SLA_TARGETS),
+                   type=_finite("--targets", "targets_pct", at_most=100.0),
                    help="target percentages of the ProMC maximum")
 
     p = sub.add_parser("figures", help="regenerate paper figures/tables as text")
@@ -256,15 +257,23 @@ class _FlagRangeError(Exception):
     prints it as one stderr line and exits 2."""
 
 
-def _finite(flag: str, field: str, *, zero_ok: bool = False):
+def _finite(
+    flag: str, field: str, *, zero_ok: bool = False, at_most: Optional[float] = None
+):
     """An argparse ``type=`` for ``flag``: a finite number > 0, or >= 0
-    with ``zero_ok``. A value outside that is reported with the
-    ``field`` it sets and the flag."""
+    with ``zero_ok``, and no more than ``at_most`` when given. A value
+    outside that is reported with the ``field`` it sets and the flag."""
     bound = ">= 0" if zero_ok else "> 0"
+    if at_most is not None:
+        bound = f"in {'[' if zero_ok else '('}0, {at_most:g}]"
 
     def parse(text: str) -> float:
         value = float(text)
-        if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        if not (
+            math.isfinite(value)
+            and (value > 0 or (zero_ok and value == 0))
+            and (at_most is None or value <= at_most)
+        ):
             raise _FlagRangeError(f"{field} must be {bound} and finite, got {flag} {text}")
         return value
 

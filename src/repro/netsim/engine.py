@@ -83,14 +83,34 @@ PowerKernel = Callable[[float], tuple[float, float, float, float, float]]
 #: per single-channel chunk before it stops looking for a dip.
 _COUNT_WALK_CAP = 512
 
-#: Entries an allocation or power-group memo holds before it is
-#: emptied. One pair of tables serves every engine of a
-#: :class:`~repro.netsim.multi.MultiTransferSimulator`. Distinct
+#: Entries an allocation, power-group or demand-floor memo holds
+#: before it is emptied. One :class:`_MemoScope` serves every engine of
+#: a :class:`~repro.netsim.multi.MultiTransferSimulator`, and every
+#: engine of an inline fleet run's shards on one testbed. Distinct
 #: allocation keys of one full-size perfbench day: 524 (spray-deferral,
-#: one simulator), 549 over all 15 shards of topo-fleet (at most 181 in
-#: one shard's table) and 47 (chunky-day); power-group keys are fewer
-#: (128 on spray-deferral).
+#: one simulator), 451 in topo-fleet's one shared table (15 shards) and
+#: 47 (chunky-day); power-group keys are fewer (128 on spray-deferral,
+#: 121 on topo-fleet).
 _MEMO_CAP = 4096
+
+
+class _MemoScope:
+    """The memo tables engines on one path, end systems and power
+    model share: rate allocations (:meth:`TransferEngine._allocate_rates`),
+    power groups (:meth:`TransferEngine._step_terms`) and the demand
+    floors of lone capped flows
+    (:meth:`~repro.netsim.multi.MultiTransferSimulator._demand_floor`).
+    Each key holds everything its entry depends on besides those fixed
+    inputs, so no table is ever invalidated, only emptied at
+    :data:`_MEMO_CAP`."""
+
+    __slots__ = ("alloc", "power", "floors")
+
+    def __init__(self) -> None:
+        self.alloc: dict[tuple, tuple[float, ...]] = {}
+        self.power: dict[tuple, tuple] = {}
+        self.floors: dict[tuple, float] = {}
+
 
 #: Every integer below this is an exact float64 (53-bit significand).
 _EXACT_INT = 2**53
@@ -285,7 +305,7 @@ class TransferEngine:
         background_traffic: Union[Callable[[float], float], float, None] = None,
         fast_path: bool = True,
         observer=None,
-        _memos: Optional[tuple[dict, dict]] = None,
+        _memo: Optional[_MemoScope] = None,
     ) -> None:
         """``background_traffic`` (optional) maps simulated time to the
         number of competing TCP streams sharing the path (a plain
@@ -316,11 +336,11 @@ class TransferEngine:
         ``is not None`` check and the engine allocates nothing extra
         per step (the zero-cost guarantee DESIGN.md documents).
 
-        ``_memos`` is the ``(allocation, power-group)`` table pair of the
+        ``_memo`` is the :class:`_MemoScope` of the
         :class:`~repro.netsim.multi.MultiTransferSimulator` that builds
         this engine; every engine of that simulator shares the same
         path, end systems and power model, so they share the tables. A
-        standalone engine owns a private pair."""
+        standalone engine owns a private scope."""
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
         self.path = path
@@ -375,8 +395,9 @@ class TransferEngine:
         #: :meth:`_step_terms`). Both keys hold everything the entry
         #: depends on besides the fixed path, end systems and power
         #: model, so neither table is cleared on a channel change and
-        #: one simulator's engines share them.
-        self._alloc_cache, self._power_memo = ({}, {}) if _memos is None else _memos
+        #: one :class:`_MemoScope`'s engines share them.
+        memo = _MemoScope() if _memo is None else _memo
+        self._alloc_cache, self._power_memo = memo.alloc, memo.power
         #: Work assignment's record of the round in progress: the busy
         #: list, each chunk's busy channels as indices into it, and the
         #: busy signature. The round's allocation, event horizon and
@@ -724,8 +745,8 @@ class TransferEngine:
         the fixed stepper — exactly the contract
         :meth:`set_background_streams` follows.
         """
-        if scale <= 0:
-            raise ValueError(f"link scale must be > 0, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"link scale must be > 0 and finite, got {scale}")
         if scale != self._link_scale:
             self._link_scale = float(scale)
             self._log_event("link_scaled", scale=scale)

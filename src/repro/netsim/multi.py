@@ -29,6 +29,7 @@ from repro.netsim.engine import (
     Binding,
     ChunkPlan,
     TransferEngine,
+    _MemoScope,
     advance_clock,
 )
 from repro.power.models import FineGrainedPowerModel
@@ -135,7 +136,12 @@ class MultiTransferSimulator:
         placement: str = "least-congested",
         placement_seed: int = 0,
         observer: Optional["Observer"] = None,
+        _memo: Optional[_MemoScope] = None,
     ) -> None:
+        """``_memo`` is the memo scope every job's engine reads and
+        fills; a simulator built without one owns a fresh scope. Only a
+        caller that runs other simulators on the same testbed object
+        passes one in (an inline fleet run's shards)."""
         if max_concurrent_jobs is not None and max_concurrent_jobs < 1:
             raise ValueError("max_concurrent_jobs must be >= 1")
         self.testbed = testbed
@@ -146,13 +152,11 @@ class MultiTransferSimulator:
         self.observer = observer
         #: Eq. 1 model shared by every job's engine (it is frozen).
         self._power_model = FineGrainedPowerModel(testbed.coefficients)
-        #: The allocation and power-group memo tables every job's
-        #: engine reads and fills: the engines share the path, end
+        #: The allocation, power-group and demand-floor tables every
+        #: job's engine reads and fills: the engines share the path, end
         #: systems and power model, so a configuration one job solved
         #: is a hit for every later one (see ``_allocate_rates``).
-        self._memos: tuple[dict, dict] = ({}, {})
-        #: Demand floors of lone capped flows (see :meth:`_demand_floor`).
-        self._floors: dict[tuple, float] = {}
+        self._memo = _MemoScope() if _memo is None else _memo
         #: Optional shared network: a spec string (``"leaf-spine:s=2,l=4"``)
         #: is built against the testbed path's bandwidth; a
         #: :class:`~repro.topo.core.Topology` is used as-is. With a
@@ -244,7 +248,7 @@ class MultiTransferSimulator:
             dt=self.dt,
             binding=self.binding,
             work_stealing=True,
-            _memos=self._memos,
+            _memo=self._memo,
         )
         record = JobRecord(
             name=name,
@@ -367,10 +371,11 @@ class MultiTransferSimulator:
         worst such hop. On a single shared bottleneck the worst hop
         carries everyone, so the topology-aware count reduces exactly
         to ``total - own + ambient`` — the byte-identity the single-link
-        topology tests pin down.
+        topology tests pin down. So does a lone running flow's: its
+        worst hop carries only its own count, which is the total.
         """
         ambient = self._ambient_streams
-        if self._placer is None:
+        if self._placer is None or len(counts) == 1:
             return [total - count + ambient for count in counts]
         hop_streams: dict[str, int] = {}
         for (record, _engine), count in zip(running, counts):
@@ -549,22 +554,23 @@ class MultiTransferSimulator:
         )
 
     def _demand_floor(self, engine: TransferEngine, busy: list[Channel]) -> float:
-        """``engine.demand_floor(busy)``, memoized per simulator. Every
-        engine here shares the path and end systems, so the floor is a
-        function of what it reads from ``busy`` (each channel's
-        parallelism and servers), the competing streams and the link
-        scale. A full-size topo-fleet day looks up 120 distinct keys
-        about 5,000 times."""
+        """``engine.demand_floor(busy)``, memoized in the memo scope.
+        Every engine here shares the path and end systems, so the floor
+        is a function of what it reads from ``busy`` (its busy
+        signature: each channel's parallelism and servers), the
+        competing streams and the link scale. A full-size topo-fleet
+        day looks up 120 distinct keys about 5,000 times."""
+        floors = self._memo.floors
         key = (
-            tuple((c.parallelism, c.src_server, c.dst_server) for c in busy),
+            engine._busy_signature(busy),
             engine.background_traffic,
             engine.link_scale,
         )
-        floor = self._floors.get(key)
+        floor = floors.get(key)
         if floor is None:
-            if len(self._floors) >= _MEMO_CAP:
-                self._floors.clear()
-            floor = self._floors[key] = engine.demand_floor(busy)
+            if len(floors) >= _MEMO_CAP:
+                floors.clear()
+            floor = floors[key] = engine.demand_floor(busy)
         return floor
 
     def _would_bind(
@@ -630,8 +636,8 @@ class MultiTransferSimulator:
         the shared allocation memo's key, so the memo needs no
         invalidation.
         """
-        if scale <= 0:
-            raise ValueError(f"link scale must be > 0, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"link scale must be > 0 and finite, got {scale}")
         self._link_scale = float(scale)
         self._link_scale_active = True
         if self.topology is not None:
@@ -672,8 +678,10 @@ class MultiTransferSimulator:
         addition to* the other jobs' — a background-traffic surge that
         squeezes all of them at once.
         """
-        if streams < 0:
-            raise ValueError("ambient stream count must be >= 0")
+        if not (math.isfinite(streams) and streams >= 0):
+            raise ValueError(
+                f"ambient stream count must be >= 0 and finite, got {streams}"
+            )
         self._ambient_streams = float(streams)
 
     @property

@@ -74,6 +74,7 @@ import numpy as np
 
 from repro import units
 from repro.core.chunks import PartitionPolicy
+from repro.netsim.engine import _MemoScope
 from repro.obs.metrics import merge_summaries
 from repro.obs.observer import Observer
 from repro.service.policies import (
@@ -717,7 +718,7 @@ class FleetReport:
 # ----------------------------------------------------------------------
 
 
-def _run_shard(payload: dict) -> dict:
+def _run_shard(payload: dict, memo: Optional[_MemoScope] = None) -> dict:
     """Execute one shard's service day and return picklable results.
 
     Top-level (not a closure/method) so a spawn-based
@@ -726,7 +727,8 @@ def _run_shard(payload: dict) -> dict:
     :class:`~repro.service.simulate.ServiceSimulator` included. Seeds
     the worker's plan cache from the warm-start entries first, and
     exports the (now warmer) cache back so the parent can accumulate
-    context across runs.
+    context across runs. ``memo`` (inline runs only) is the engine memo
+    scope of the shard's testbed.
     """
     # a run-local copy: interventions mutate the service they hit (a
     # ``TariffSwap`` replaces its tariff), which must not leak into the
@@ -742,6 +744,7 @@ def _run_shard(payload: dict) -> dict:
         max_time=payload["max_time"],
         interventions=payload["interventions"],
         on_timeout=payload["on_timeout"],
+        _memo=memo,
     )
     wall_s = time.perf_counter() - start  # repro: noqa[RPL002] — see above
     observer = simulator.observer
@@ -778,7 +781,15 @@ class FleetSimulator:
     ``min(shards, cpu_count)``; ``1`` runs shards inline (no process
     pool, no pickling); ``>1`` uses a :class:`ProcessPoolExecutor`,
     which requires picklable testbeds/policies/tariffs. Results are
-    identical either way — shards are independent simulations.
+    identical either way — shards are independent simulations. Each
+    shard of a homogeneous fleet is an independent copy of its
+    testbed: a shard's jobs share its link and servers with each other
+    and with no other shard's. Inline shards on one
+    testbed object share that testbed's engine memo tables for the
+    length of one :meth:`run` (every key holds what differs between
+    shards, so a shared hit is the value the shard would have solved);
+    the scope is dropped when :meth:`run` returns, so each run starts
+    cold.
 
     After :meth:`run`, ``last_context`` holds the accumulated
     :class:`FleetContext` (input context merged with every shard's
@@ -944,7 +955,17 @@ class FleetSimulator:
         )
         start = time.perf_counter()  # repro: noqa[RPL002] — real dispatch wall-clock, reported outside the determinism contract
         if n_workers <= 1 or len(self.shards) == 1:
-            outs = [_run_shard(payload) for payload in payloads]
+            # one memo scope per testbed object for this run: every key
+            # holds what differs between shards (busy set, competing
+            # streams, cap, link scale), the testbed fixes the rest
+            scopes = {
+                key: _MemoScope()
+                for key in {id(spec.testbed) for spec in self.shards}
+            }
+            outs = [
+                _run_shard(payload, scopes[id(spec.testbed)])
+                for spec, payload in zip(self.shards, payloads, strict=True)
+            ]
         else:
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
                 outs = list(pool.map(_run_shard, payloads))

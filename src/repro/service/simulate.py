@@ -51,6 +51,7 @@ from typing import Optional, Protocol, Union, runtime_checkable
 
 from repro import units
 from repro.core.chunks import PartitionPolicy
+from repro.netsim.engine import _MemoScope
 from repro.netsim.multi import JobRecord, MultiTransferSimulator, TransferTimeout
 from repro.obs.observer import Observer
 from repro.topo.core import Topology
@@ -632,6 +633,7 @@ class ServiceSimulator:
         max_time: Seconds = 1e7,
         interventions: Sequence[Intervention] = (),
         on_timeout: str = "raise",
+        _memo: Optional[_MemoScope] = None,
     ) -> ServiceReport:
         """Run every request to completion and return the day's report.
 
@@ -649,6 +651,11 @@ class ServiceSimulator:
         ``truncated=True``, unfinished jobs keep ``completed_at=None``
         (counting as deadline misses), and the slowdown percentiles
         are ``None`` when nothing finished.
+
+        ``_memo`` is the engine memo scope the day's simulator shares
+        with other runs on the same testbed object (see
+        :class:`~repro.service.fleet.FleetSimulator`); by default the
+        day starts on empty tables.
         """
         if on_timeout not in ("raise", "report"):
             raise ValueError(
@@ -670,6 +677,7 @@ class ServiceSimulator:
             placement=self.placement,
             placement_seed=self.placement_seed,
             observer=self.observer,
+            _memo=_memo,
         )
         # a TariffSwap intervention replaces ``self.tariff`` mid-day; the
         # day's own tariff is put back once the report is built

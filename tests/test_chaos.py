@@ -146,6 +146,27 @@ class TestActions:
         with pytest.raises(ValueError):
             ChannelCut(time=0.0, per_job=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build,field", [
+        (lambda v: LinkScale(time=v, scale=0.5), "intervention time"),
+        (lambda v: LinkScale(time=0.0, scale=v), "link scale"),
+        (lambda v: AmbientTraffic(time=0.0, streams=v), "ambient streams"),
+        (lambda v: ServerOutage(time=0.0, side="src", index=0, downtime=v), "downtime"),
+        (lambda v: ChannelCut(time=v), "intervention time"),
+    ], ids=["time", "scale", "streams", "downtime", "cut-time"])
+    def test_non_finite_rejected_by_field(self, build, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .* and finite, got {value!r}$"):
+            build(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_simulator_rejects_non_finite_scale_and_streams(self, value):
+        sim = MultiTransferSimulator(XSEDE)
+        with pytest.raises(ValueError, match="^link scale must be > 0 and finite"):
+            sim.set_link_scale(value)
+        with pytest.raises(ValueError, match="^ambient stream count must be >= 0 and finite"):
+            sim.set_ambient_streams(value)
+        assert sim.link_scale == 1.0 and sim.ambient_streams == 0.0
+
     def test_tariff_scaled(self):
         spiked = TARIFF.scaled(price_factor=3.0, carbon_factor=2.0)
         for (o0, p0, c0), (o1, p1, c1) in zip(TARIFF.points, spiked.points):

@@ -171,6 +171,19 @@ class TestCommands:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0", "150"])
+    def test_sla_targets_out_of_range_exits_2(self, value, capsys):
+        assert main(["sla", "-t", "xsede", "--targets", "80", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"targets_pct must be in (0, 100] and finite, got --targets {value}\n"
+        )
+        assert captured.out == ""
+
+    def test_sla_targets_accepts_100(self, capsys):
+        assert main(["sla", "-t", "didclab", "--targets", "100"]) == 0
+        assert "100%" in capsys.readouterr().out
+
     @pytest.mark.parametrize("value,expected", [("0", None), ("2.5", 2.5)])
     def test_steal_threshold_zero_disables_stealing(self, value, expected, monkeypatch):
         import repro.service

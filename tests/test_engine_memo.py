@@ -1,25 +1,33 @@
-"""The allocation and power-group memos one simulator shares across its
-job engines.
+"""The allocation, power-group and demand-floor memos one simulator
+shares across its job engines (and an inline fleet run across its
+shards on one testbed).
 
 Fast-vs-grid gates cannot catch a wrong memo key (both drivers read the
 same memo), so the contract here is *cached vs cold*: a day run with
 the memo tables replaced by ones that never store — every step a cold
 solve — must be ``repr``-identical to the cached day. Next to it: the
 tables are shared by every engine of one simulator and by no other
-simulator, stay within ``_MEMO_CAP``, and every job's engine conserves
-its own bytes and energy (a shared memo handing one engine another's
-rates would break both).
+simulator outside a fleet run, stay within ``_MEMO_CAP``, and every
+job's engine conserves its own bytes and energy (a shared memo handing
+one engine another's rates would break both).
 """
 
 import pytest
 
 import repro.service.simulate
 from repro import units
+from repro.chaos import strip_wall
 from repro.datasets.files import FileInfo
-from repro.netsim.engine import _MEMO_CAP, ChunkPlan
+from repro.netsim.engine import _MEMO_CAP, ChunkPlan, _MemoScope
 from repro.netsim.multi import MultiTransferSimulator
 from repro.netsim.params import TransferParams
-from repro.service import ServiceSimulator, policy_by_name, tariff_by_name
+from repro.service import (
+    FleetSimulator,
+    ServiceSimulator,
+    ShardSpec,
+    policy_by_name,
+    tariff_by_name,
+)
 from repro.service.policies import plan_cache_clear
 from repro.service.requests import (
     BALANCED,
@@ -30,7 +38,7 @@ from repro.service.requests import (
     diurnal_workload,
     sla,
 )
-from repro.testbeds.specs import XSEDE
+from repro.testbeds.specs import DIDCLAB, XSEDE
 from repro.units import GB
 
 
@@ -47,6 +55,22 @@ class ColdMemo(dict):
 
     def __setitem__(self, key, value) -> None:
         self.solved.append((key, value))
+
+
+def _cold_scope() -> _MemoScope:
+    """A memo scope whose three tables are :class:`ColdMemo` tables."""
+    scope = _MemoScope()
+    scope.alloc, scope.power, scope.floors = ColdMemo(), ColdMemo(), ColdMemo()
+    return scope
+
+
+def _tables(scope: _MemoScope) -> tuple[dict, dict, dict]:
+    return scope.alloc, scope.power, scope.floors
+
+
+def _uses(engine, scope: _MemoScope) -> bool:
+    """Whether ``engine`` reads and fills ``scope``'s tables."""
+    return engine._alloc_cache is scope.alloc and engine._power_memo is scope.power
 
 
 def _plans(tag: str) -> list[ChunkPlan]:
@@ -70,7 +94,7 @@ def _chaos_day(cold: bool) -> MultiTransferSimulator:
     destination-server crash and a round of channel failures."""
     sim = MultiTransferSimulator(XSEDE, max_concurrent_jobs=3)
     if cold:
-        sim._memos = (ColdMemo(), ColdMemo())
+        sim._memo = _cold_scope()
     for i in range(4):
         sim.submit(f"job{i}", _plans(f"j{i}-"), arrival_time=2.0 * i)
     script = (
@@ -123,6 +147,30 @@ def _topo_day(jobs: int = 40, seed: int = 3):
     return _service("run-now", day_s, topology="leaf-spine:s=2,l=2,spine=0.3"), requests
 
 
+def _fleet_day(jobs: int = 60, seed: int = 1, **kwargs):
+    """A reduced topology-aware fleet day: bursty arrivals routed over
+    the 15 leaf-pair shards of ``leaf-spine:s=2,l=6`` on one testbed."""
+    day_s = 17.28 * jobs
+    requests = bursty_workload(jobs, day_s=day_s, seed=seed, size_scale=0.1)
+    fleet = FleetSimulator(
+        XSEDE,
+        policy=policy_by_name("run-now"),
+        tariff=tariff_by_name("peak-offpeak", period_s=day_s),
+        topology="leaf-spine:s=2,l=6,spine=0.4",
+        routing="topology-aware",
+        **kwargs,
+    )
+    return fleet, requests
+
+
+def _fleet_run(day) -> tuple[str, str]:
+    """The day's wall-free report dict and its per-job rows, as reprs."""
+    fleet, requests = day
+    plan_cache_clear()
+    report = fleet.run(requests)
+    return repr(strip_wall(report.to_dict())), repr(report.jobs)
+
+
 def _service(policy: str, day_s: float, **kwargs) -> ServiceSimulator:
     return ServiceSimulator(
         XSEDE,
@@ -149,7 +197,7 @@ def simulators(monkeypatch):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             if built.cold:
-                self._memos = (ColdMemo(), ColdMemo())
+                self._memo = _cold_scope()
             built.append(self)
 
     monkeypatch.setattr(repro.service.simulate, "MultiTransferSimulator", Recording)
@@ -172,8 +220,8 @@ class TestCachedVsCold:
         assert repr(cached.records()) == repr(cold.records())
         assert repr(cached.total_energy) == repr(cold.total_energy)
         assert repr(cached.time) == repr(cold.time)
-        assert cold._memos[0].solved and cold._memos[1].solved
-        scales = {key[3] for key, _rates in cold._memos[0].solved}
+        assert cold._memo.alloc.solved and cold._memo.power.solved
+        scales = {key[3] for key, _rates in cold._memo.alloc.solved}
         assert scales == {1.0, 0.5}
         cold_engines = built_engines[len(cached.records()):]
         assert len(cold_engines) == 4
@@ -187,13 +235,34 @@ class TestCachedVsCold:
         cold, cold_sim = _run(day(), simulators, cold=True)
         assert repr(cached) == repr(cold)
         assert repr(cached.total_energy_j) == repr(cold.total_energy_j)
-        assert cached_sim._memos[0] and cold_sim._memos[0].solved
+        assert cached_sim._memo.alloc and cold_sim._memo.alloc.solved
         if cold_sim.topology is not None:
             # the caps bound: some solve's rates sum to its cap
             assert any(
                 cap is not None and sum(rates) == pytest.approx(cap, rel=1e-9)
-                for (_sig, _competing, cap, _scale), rates in cold_sim._memos[0].solved
+                for (_sig, _competing, cap, _scale), rates in cold_sim._memo.alloc.solved
             )
+
+    def test_fleet_day_on_one_shared_scope(self, simulators):
+        """An inline fleet run's 15 shards on one testbed object share
+        one memo scope; the day is ``repr``-identical with every shard
+        on cold tables and on the process pool."""
+        shared = _fleet_run(_fleet_day(workers=1))
+        assert len(simulators) == 15
+        assert len({id(sim._memo) for sim in simulators}) == 1
+        scope = simulators[0]._memo
+        assert scope.alloc and scope.power and scope.floors
+        simulators.clear()
+        simulators.cold = True
+        cold = _fleet_run(_fleet_day(workers=1))
+        # the shards meet the same keys: fewer distinct keys over the
+        # fleet than summed shard by shard
+        per_shard = [{key for key, _ in sim._memo.alloc.solved} for sim in simulators]
+        assert len(set().union(*per_shard)) < sum(map(len, per_shard))
+        assert len(set().union(*per_shard)) == len(scope.alloc)
+        assert cold == shared
+        simulators.cold = False
+        assert _fleet_run(_fleet_day(workers=2)) == shared
 
 
 class TestSharedTables:
@@ -203,18 +272,40 @@ class TestSharedTables:
             built_engines.clear()
             for i in range(3):
                 sim.submit(f"job{i}", _plans(f"j{i}-"))
-            alloc, power = sim._memos
             assert len(built_engines) == 3
-            assert all(
-                engine._alloc_cache is alloc and engine._power_memo is power
-                for engine in built_engines
-            )
-        assert not set(map(id, sims[0]._memos)) & set(map(id, sims[1]._memos))
+            assert all(_uses(engine, sim._memo) for engine in built_engines)
+        assert not set(map(id, _tables(sims[0]._memo))) & set(map(id, _tables(sims[1]._memo)))
 
     def test_tables_stay_bounded_and_a_new_simulator_starts_empty(self, simulators):
         _run(_spray_day(120), simulators, cold=False)
-        assert all(0 < len(table) <= _MEMO_CAP for table in simulators[0]._memos)
-        assert MultiTransferSimulator(XSEDE)._memos == ({}, {})
+        assert all(0 < len(table) <= _MEMO_CAP for table in _tables(simulators[0]._memo)[:2])
+        assert _tables(MultiTransferSimulator(XSEDE)._memo) == ({}, {}, {})
+
+    def test_each_testbed_object_has_its_own_scope(self, simulators, built_engines):
+        """Inline shards share the scope of their own testbed object
+        only, and only for one run."""
+        day_s = 600.0
+        fleet = FleetSimulator(
+            shard_specs=[ShardSpec("a", XSEDE), ShardSpec("b", DIDCLAB), ShardSpec("c", XSEDE)],
+            policy=policy_by_name("run-now"),
+            tariff=tariff_by_name("flat"),
+            routing="round-robin",
+            workers=1,
+        )
+        fleet.run(bursty_workload(12, day_s=day_s, seed=2, size_scale=0.05))
+        a, b, c = simulators
+        assert a.testbed is XSEDE and b.testbed is DIDCLAB and c.testbed is XSEDE
+        assert a._memo is c._memo
+        assert not set(map(id, _tables(a._memo))) & set(map(id, _tables(b._memo)))
+        assert built_engines
+        for engine in built_engines:
+            owner = a if engine.path is XSEDE.path else b
+            assert engine.path is owner.testbed.path
+            assert _uses(engine, owner._memo)
+        # a second run starts on a fresh scope
+        simulators.clear()
+        fleet.run(bursty_workload(3, day_s=day_s, seed=2, size_scale=0.05))
+        assert simulators[0]._memo is not a._memo
 
 
 class TestPerJobConservation:
